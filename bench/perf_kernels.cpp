@@ -300,31 +300,41 @@ void BM_Procedure1Def2(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
   state.counters["oracle_queries"] = static_cast<double>(queries);
-  state.counters["good_sims"] = static_cast<double>(cache.good_sim_entries);
-  state.counters["verdict_hits"] = static_cast<double>(cache.verdict_hits);
-  state.counters["verdict_misses"] =
-      static_cast<double>(cache.verdict_misses);
+  state.counters["word_passes"] = static_cast<double>(cache.word_passes);
+  state.counters["lanes"] = static_cast<double>(cache.verdict_misses);
   state.SetLabel(std::string(simd::level_name(simd::active_level())) + "/bw" +
                  std::to_string(PairKernelEngine::kBatchWidth));
 }
 BENCHMARK(BM_Procedure1Def2)->Args({10, 1})->Args({10, 8});
 
+// The Definition-2 lane kernel: one detect_lanes() pass deciding
+// `range(0)` (t, s) pairs of one fault; items are pairs.
 void BM_Def2Oracle(benchmark::State& state) {
   const Circuit& c = bench_circuit();
   const LineModel lines(c);
   const auto faults = collapse_stuck_at_faults(lines);
-  Def2Oracle oracle(lines, faults);
+  const Def2Program program(lines, faults);
+  Def2Oracle oracle(program);
   const std::uint64_t space = c.vector_space_size();
-  std::uint64_t t = 1;
-  for (auto _ : state) {
-    const std::uint64_t t1 = t % space;
-    const std::uint64_t t2 = (t * 2654435761u) % space;
-    benchmark::DoNotOptimize(oracle.distinct(t % faults.size(), t1, t2));
-    ++t;
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  // A fixed pool of pseudo-random pairs, walked one window per pass.
+  constexpr std::size_t kPool = 4096;
+  std::vector<std::uint64_t> ts(kPool + lanes), ss(kPool + lanes);
+  for (std::size_t p = 0; p < ts.size(); ++p) {
+    ts[p] = (p + 1) % space;
+    ss[p] = ((p + 1) * 2654435761u) % space;
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  std::size_t pass = 0;
+  for (auto _ : state) {
+    const std::size_t first = (pass * lanes) % kPool;
+    benchmark::DoNotOptimize(oracle.detect_lanes(
+        pass % faults.size(), ts.data() + first, ss.data() + first, lanes));
+    ++pass;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
 }
-BENCHMARK(BM_Def2Oracle);
+BENCHMARK(BM_Def2Oracle)->Arg(1)->Arg(64);
 
 void BM_PodemPerFault(benchmark::State& state) {
   const Circuit& c = bench_circuit();

@@ -65,13 +65,11 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(
                      second.stats.distinct_queries));
     std::fprintf(stderr,
-                 "[ndetect]   %s: def2 caches (%u workers): %llu good sims, "
-                 "%llu hits / %llu misses; %s\n",
+                 "[ndetect]   %s: def2 kernel (%u workers): %llu word passes, "
+                 "%llu lanes simulated; %s\n",
                  names[i].c_str(), session.pool().thread_count(),
                  static_cast<unsigned long long>(
-                     second.def2_cache.good_sim_entries),
-                 static_cast<unsigned long long>(
-                     second.def2_cache.verdict_hits),
+                     second.def2_cache.word_passes),
                  static_cast<unsigned long long>(
                      second.def2_cache.verdict_misses),
                  describe_set_memory(session.db()).c_str());

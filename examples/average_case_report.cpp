@@ -66,14 +66,14 @@ int main(int argc, char** argv) {
   std::printf("%s\n", describe_set_memory(session.db()).c_str());
   const unsigned workers = session.pool().thread_count();
   if (request.definition == DetectionDefinition::kDissimilar)
-    std::printf("def2 oracle (%u workers): %llu good ternary sims cached, "
-                "%llu verdict hits / %llu misses\n",
+    std::printf("def2 oracle (%u workers): %llu word passes, %llu (t, s) "
+                "lanes simulated for %llu charged queries\n",
                 workers,
+                static_cast<unsigned long long>(avg.def2_cache.word_passes),
                 static_cast<unsigned long long>(
-                    avg.def2_cache.good_sim_entries),
-                static_cast<unsigned long long>(avg.def2_cache.verdict_hits),
+                    avg.def2_cache.verdict_misses),
                 static_cast<unsigned long long>(
-                    avg.def2_cache.verdict_misses));
+                    avg.stats.distinct_queries));
   std::printf("\nK = %zu random %d-detection test sets (Definition %d, "
               "%u workers); faults with p(%d,g) >= threshold:\n\n",
               request.num_sets, request.nmax,

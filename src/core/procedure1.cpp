@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "core/pair_kernels.hpp"
 #include "sim/ternary_sim.hpp"
@@ -204,28 +205,118 @@ void add_test(const GroupInputs& in, MemberState& ms, std::uint32_t test) {
   ++ms.out.stats.tests_added;
 }
 
+/// One worker's Definition-2 query machinery: a lane oracle over the
+/// run's shared program plus reusable pair and verdict buffers.
+struct Def2Worker {
+  explicit Def2Worker(const Def2Program& program) : oracle(program) {}
+
+  Def2Oracle oracle;
+  std::vector<std::uint64_t> ts, ss;        ///< packed (t, s) pairs
+  std::vector<std::uint64_t> detected;      ///< one verdict bit per pair
+  std::vector<std::uint32_t> block;         ///< refresh_def2's new tests
+  std::vector<std::uint32_t> candidates;
+  std::vector<std::uint32_t> first_similar; ///< per screened candidate
+
+  void add_pair(std::uint32_t t, std::uint32_t s) {
+    ts.push_back(t);
+    ss.push_back(s);
+  }
+
+  /// Decides every packed pair for target i in 64-lane kernel passes.
+  void decide(std::uint32_t i) {
+    detected.resize((ts.size() + Def2Oracle::kLanes - 1) / Def2Oracle::kLanes);
+    if (!ts.empty()) oracle.detect_pairs(i, ts, ss, detected);
+  }
+
+  /// True when pair p's common vector detects the target (p is similar).
+  bool similar(std::size_t p) const {
+    return ((detected[p / Def2Oracle::kLanes] >> (p % Def2Oracle::kLanes)) &
+            1u) != 0;
+  }
+};
+
+/// Screens every candidate against the counted set of target i, all
+/// |candidates| x |counted| pairs in one decide().  Leaves in
+/// w.first_similar[c] the position of the first counted test similar to
+/// candidate c, or |counted| when c is dissimilar from every counted test,
+/// i.e. adds a Definition-2 detection.
+void screen(Def2Worker& w, std::uint32_t i,
+            std::span<const std::uint32_t> counted,
+            std::span<const std::uint32_t> candidates) {
+  const std::size_t m = counted.size();
+  w.ts.clear();
+  w.ss.clear();
+  for (const std::uint32_t t : candidates)
+    for (const std::uint32_t s : counted) w.add_pair(t, s);
+  w.decide(i);
+  w.first_similar.assign(candidates.size(), static_cast<std::uint32_t>(m));
+  for (std::size_t c = 0; c < candidates.size(); ++c)
+    for (std::size_t j = 0; j < m; ++j)
+      if (w.similar(c * m + j)) {
+        w.first_similar[c] = static_cast<std::uint32_t>(j);
+        break;
+      }
+}
+
+/// The oracle calls the sequential early-exit scan of one candidate makes:
+/// up to and including the first similar counted test, or all of them.
+/// distinct_queries is charged by this rule, so it does not depend on how
+/// pairs are packed into lanes.
+inline std::uint64_t query_charge(std::uint32_t first_similar,
+                                  std::size_t counted) {
+  return first_similar < counted ? first_similar + 1u : counted;
+}
+
 /// Brings the greedy Definition-2 counted set of sorted target k (original
 /// index i) up to date with the tests added to T_k since the last visit.
 /// The counted set is a pure function of the insertion-order prefix, so
 /// deferred refreshes (retirement skips) cannot change it.
+///
+/// The greedy scan compares each new test of T(f_i) with the counted set
+/// as it stands -- including the new tests it accepted a moment earlier --
+/// so new tests are decided in blocks: block test q is paired with the m
+/// counted tests and then with the block's q earlier tests (m + q lanes),
+/// and a block grows while its pairs fit one kernel pass.  The scan is then
+/// replayed over the verdicts, charging exactly the comparisons it makes.
 Def2State& refresh_def2(const GroupInputs& in, MemberState& ms, std::size_t k,
-                        std::uint32_t i, Def2Oracle* oracle) {
+                        std::uint32_t i, Def2Worker& w) {
   Def2State& st = ms.def2[k];
   const DetectionSet& tf = in.target_sets[i];
-  while (st.cursor < ms.out.order.size()) {
-    const std::uint32_t t = ms.out.order[st.cursor++];
-    if (!tf.test(t)) continue;
-    bool distinct_from_all = true;
-    for (const std::uint32_t s : st.counted) {
-      ++ms.out.stats.distinct_queries;
-      if (!oracle->distinct(i, s, t)) {
-        distinct_from_all = false;
+  const std::vector<std::uint32_t>& order = ms.out.order;
+  std::vector<std::uint32_t>& block = w.block;
+  for (;;) {
+    const std::size_t m = st.counted.size();
+    block.clear();
+    w.ts.clear();
+    w.ss.clear();
+    for (; st.cursor < order.size(); ++st.cursor) {
+      const std::uint32_t t = order[st.cursor];
+      if (!tf.test(t)) continue;
+      if (!block.empty() &&
+          w.ts.size() + m + block.size() > Def2Oracle::kLanes)
         break;
-      }
+      for (const std::uint32_t s : st.counted) w.add_pair(t, s);
+      for (const std::uint32_t s : block) w.add_pair(t, s);
+      block.push_back(t);
     }
-    if (distinct_from_all) st.counted.push_back(t);
+    if (block.empty()) return st;
+    w.decide(i);
+    std::uint64_t accepted = 0;  // bit q: block test q joined the set
+    std::size_t row = 0;
+    for (std::size_t q = 0; q < block.size(); ++q) {
+      bool similar = false;
+      for (std::size_t j = 0; j < m + q && !similar; ++j) {
+        if (j >= m && ((accepted >> (j - m)) & 1u) == 0) continue;
+        ++ms.out.stats.distinct_queries;
+        similar = w.similar(row + j);
+      }
+      if (!similar) {
+        st.counted.push_back(block[q]);
+        accepted |= std::uint64_t{1} << q;
+      }
+      row += m + q;
+    }
   }
-  return st;
 }
 
 /// One Definition-1 visit of (T_k, sorted target k) in iteration n.
@@ -265,7 +356,7 @@ void visit_def1(const GroupInputs& in, MemberState& ms, int n, std::size_t k,
 /// ms.known[k]; skipped visits also defer the refresh, which is sound
 /// because the counted set depends only on the insertion-order prefix.
 void visit_def2(const GroupInputs& in, MemberState& ms, int n, std::size_t k,
-                std::uint32_t count, Def2Oracle* oracle) {
+                std::uint32_t count, Def2Worker& w) {
   const std::uint32_t n_f = in.engine->n_f(k);
   const std::uint32_t i = in.engine->original_index(k);
   const DetectionSet& tf = in.target_sets[i];
@@ -274,7 +365,7 @@ void visit_def2(const GroupInputs& in, MemberState& ms, int n, std::size_t k,
   const std::uint64_t c0 = draw_c0(n, i);
   bool keep = true;
 
-  Def2State& st = refresh_def2(in, ms, k, i, oracle);
+  Def2State& st = refresh_def2(in, ms, k, i, w);
   if (st.counted.size() < need) {
     const std::uint64_t available = n_f - count;
     if (available == 0) {
@@ -283,41 +374,59 @@ void visit_def2(const GroupInputs& in, MemberState& ms, int n, std::size_t k,
       keep = false;
     } else {
       // Look for a candidate that adds a Definition-2 detection.
-      const auto is_distinct_candidate = [&](std::uint32_t t) {
-        for (const std::uint32_t s : st.counted) {
-          ++ms.out.stats.distinct_queries;
-          if (!oracle->distinct(i, s, t)) return false;
-        }
-        return true;
-      };
-
+      const std::size_t counted = st.counted.size();
+      std::vector<std::uint32_t>& candidates = w.candidates;
       std::uint32_t chosen = 0;
       bool found = false;
       if (available <= 64) {
-        // Small difference: enumerate T(f_i) - T_k in ascending order and
-        // pick uniformly among the candidates.
-        std::vector<std::uint32_t> candidates;
+        // Small difference: enumerate T(f_i) - T_k in ascending order,
+        // screen every candidate at once, and pick uniformly among the
+        // qualifying ones.
+        candidates.clear();
         tf.for_each_set([&](std::size_t v) {
-          if (ms.members.test(v)) return;
-          if (is_distinct_candidate(static_cast<std::uint32_t>(v)))
+          if (!ms.members.test(v))
             candidates.push_back(static_cast<std::uint32_t>(v));
         });
-        if (!candidates.empty()) {
-          chosen = candidates[ms.rng.below(candidates.size(), c0,
-                                           kSiteCandidates)];
+        screen(w, i, st.counted, candidates);
+        std::size_t qualifying = 0;
+        for (std::size_t c = 0; c < candidates.size(); ++c) {
+          ms.out.stats.distinct_queries +=
+              query_charge(w.first_similar[c], counted);
+          if (w.first_similar[c] == counted)
+            candidates[qualifying++] = candidates[c];
+        }
+        if (qualifying > 0) {
+          chosen = candidates[ms.rng.below(qualifying, c0, kSiteCandidates)];
           found = true;
         }
       } else {
-        // Large difference: bounded random probing, one site per probe.
-        for (std::size_t probe = 0; probe < in.def2_probe_limit; ++probe) {
-          const std::uint64_t r =
-              ms.rng.below(available, c0, kSiteProbeBase + probe);
-          const auto t = static_cast<std::uint32_t>(
-              tf.nth_in_difference(ms.members, r));
-          if (is_distinct_candidate(t)) {
-            chosen = t;
-            found = true;
-            break;
+        // Large difference: bounded random probing, one site per probe, the
+        // first qualifying probe taken.  Probe draws are pure coordinates
+        // and T_k does not change while probing, so probes are drawn and
+        // screened as many per kernel pass as the lanes hold; probes after
+        // the chosen one are neither charged nor looked at.
+        const std::size_t per_pass = std::max<std::size_t>(
+            1, Def2Oracle::kLanes / std::max<std::size_t>(counted, 1));
+        for (std::size_t first = 0; !found && first < in.def2_probe_limit;
+             first += per_pass) {
+          const std::size_t probes =
+              std::min(per_pass, in.def2_probe_limit - first);
+          candidates.clear();
+          for (std::size_t p = 0; p < probes; ++p) {
+            const std::uint64_t r =
+                ms.rng.below(available, c0, kSiteProbeBase + first + p);
+            candidates.push_back(static_cast<std::uint32_t>(
+                tf.nth_in_difference(ms.members, r)));
+          }
+          screen(w, i, st.counted, candidates);
+          for (std::size_t p = 0; p < probes; ++p) {
+            ms.out.stats.distinct_queries +=
+                query_charge(w.first_similar[p], counted);
+            if (w.first_similar[p] == counted) {
+              chosen = candidates[p];
+              found = true;
+              break;
+            }
           }
         }
       }
@@ -325,7 +434,7 @@ void visit_def2(const GroupInputs& in, MemberState& ms, int n, std::size_t k,
       if (found) {
         add_test(in, ms, chosen);
         // The new test is in T(f_i) and distinct: count it immediately.
-        refresh_def2(in, ms, k, i, oracle);
+        refresh_def2(in, ms, k, i, w);
         if (available == 1) keep = false;
       } else if (count < need) {
         // Definition-1 fallback: no test can increase the Definition-2
@@ -335,7 +444,7 @@ void visit_def2(const GroupInputs& in, MemberState& ms, int n, std::size_t k,
                  static_cast<std::uint32_t>(tf.nth_in_difference(ms.members, r)));
         ++ms.out.stats.def1_fallbacks;
         if (available == 1) {
-          refresh_def2(in, ms, k, i, oracle);  // settle before retiring
+          refresh_def2(in, ms, k, i, w);  // settle before retiring
           keep = false;
         }
       }
@@ -372,7 +481,7 @@ void visit_def2(const GroupInputs& in, MemberState& ms, int n, std::size_t k,
 /// frontier a clean prefix of the uninterrupted trajectory and makes resume
 /// bit-identical.
 void run_group(const GroupInputs& in, std::size_t first_set, std::size_t width,
-               std::span<Procedure1SetFrontier> frontiers, Def2Oracle* oracle,
+               std::span<Procedure1SetFrontier> frontiers, Def2Worker* def2,
                const CancelToken* cancel) {
   const PairKernelEngine& engine = *in.engine;
   std::vector<MemberState> group;
@@ -405,8 +514,8 @@ void run_group(const GroupInputs& in, std::size_t first_set, std::size_t width,
         for (std::size_t a = 0; a < num_active; ++a) {
           MemberState& ms = group[active[a]];
           if (ms.known[k] != kRetired) {
-            if (in.def2)
-              visit_def2(in, ms, n, k, counts[a], oracle);
+            if (def2 != nullptr)
+              visit_def2(in, ms, n, k, counts[a], *def2);
             else
               visit_def1(in, ms, n, k, counts[a]);
           }
@@ -571,27 +680,30 @@ Procedure1Partial run_procedure1_resumable(
 
   // Shard whole batch groups across the pool: a worker owns each of its
   // groups' sets end to end and writes only their slots.  Definition-2
-  // workers each own a private oracle, so the hot distinct() path takes no
-  // locks; a one-worker pool degenerates to serial on the calling thread.
+  // runs compile one immutable oracle program up front; every worker reads
+  // it and owns only its scratch words, so the query path takes no locks.
+  // A one-worker pool degenerates to serial on the calling thread.
   // Cancellation is polled between group claims (pool level) and between
   // iterations (run_group), so each set's frontier advances in clean
   // iteration steps.
   const std::size_t groups = (k_sets + width - 1) / width;
   const unsigned workers = pool.workers_for(groups);
-  std::vector<std::unique_ptr<Def2Oracle>> oracles(workers);
+  std::optional<Def2Program> program;
+  if (def2) program.emplace(db.lines(), targets);
+  std::vector<std::unique_ptr<Def2Worker>> def2_workers(workers);
   pool.for_each_index(groups, [&](std::size_t g, unsigned worker) {
-    Def2Oracle* oracle = nullptr;
+    Def2Worker* def2_worker = nullptr;
     if (def2) {
-      if (!oracles[worker])
-        oracles[worker] = std::make_unique<Def2Oracle>(db.lines(), targets);
-      oracle = oracles[worker].get();
+      if (!def2_workers[worker])
+        def2_workers[worker] = std::make_unique<Def2Worker>(*program);
+      def2_worker = def2_workers[worker].get();
     }
     const std::size_t first = g * width;
     const std::size_t group_width = std::min(width, k_sets - first);
     run_group(inputs, first, group_width,
               std::span<Procedure1SetFrontier>(frontiers)
                   .subspan(first, group_width),
-              oracle, cancel);
+              def2_worker, cancel);
   }, cancel);
 
   Procedure1Partial partial;
@@ -632,8 +744,8 @@ Procedure1Partial run_procedure1_resumable(
     result.stats.def1_fallbacks += set.stats.def1_fallbacks;
     result.stats.distinct_queries += set.stats.distinct_queries;
   }
-  for (const auto& oracle : oracles)
-    if (oracle) result.def2_cache += oracle->stats();
+  for (const auto& worker : def2_workers)
+    if (worker) result.def2_cache += worker->oracle.stats();
   partial.result = std::move(result);
   return partial;
 }

@@ -109,11 +109,11 @@ struct AverageCaseResult {
 
   Procedure1Stats stats;
 
-  /// Oracle cache telemetry summed across the engine's workers (Def-2 runs
-  /// only; zero otherwise).  Which sets share a worker's caches depends on
-  /// scheduling, so -- unlike Procedure1Stats -- these counters may vary
-  /// with the thread count and across runs; they report cache
-  /// effectiveness, not results.
+  /// Definition-2 kernel work summed across the engine's workers (Def-2
+  /// runs only; zero otherwise): word passes and (t, s) lanes simulated.
+  /// Each pass serves one set's trajectory, so the sums do not vary with
+  /// the thread count, but a resumed run counts only the work done after
+  /// the resume.  They report kernel work, not results.
   Def2OracleStats def2_cache;
 
   /// p(n, monitored[j]) = d / K.

@@ -8,27 +8,32 @@
 // output has definite, differing binary values in the fault-free and faulty
 // circuits.
 //
-// Def2Oracle answers "are ti and tj different detections of f?" with two
-// levels of caching that make Procedure 1 under Definition 2 tractable:
-//   * fault-free ternary simulations are keyed by the agreement pattern
-//     (ti, tj only enter through it), shared across all faults and sets;
-//   * per-fault verdicts are memoized by the same key.
+// Two simulators live here:
+//   * TernarySimulator -- the plain scalar simulator over Ternary values.
+//     PODEM evaluates with it, and it is the reference the word-parallel
+//     oracle is tested against.
+//   * Def2Oracle -- the word-parallel query engine behind Procedure 1.  One
+//     kernel call, detect_lanes(), decides up to 64 (t, s) pairs at once in
+//     dual-rail words: bit l of the (can-be-0, can-be-1) word pair of a gate
+//     is the ternary value of that gate under lane l's common vector t_ls
+//     (0 = (1,0), 1 = (0,1), X = (1,1)).  Fault-free values run over a flat
+//     gate-type + fanin-CSR program in topological order, restricted to the
+//     gates that feed the fault's observing outputs; faulty values are then
+//     computed in place over the fault's precomputed fanout cone only, and
+//     detection is read off that cone's primary outputs.  There is no memo:
+//     every query is simulated, 64 at a time.
 //
-// Concurrency discipline: an oracle instance is single-threaded by design.
-// Parallel engines shard the caches by giving every worker its own
-// instance -- construction is cheap (the simulator borrows the line model;
-// only the fault list is copied), distinct() stays lock-free, and the
-// workers' hit/miss telemetry is merged through stats().  Verdicts are pure
-// functions of (fault, agreement pattern), so sharding never changes a
-// result -- only which shard pays the miss (DESIGN.md "Procedure-1
-// sharding").
+// Concurrency discipline: the compiled program (Def2Program) is immutable
+// and shared read-only by every worker; a Def2Oracle is one worker's view
+// of it -- four scratch word arrays plus counters -- and is single-threaded.
+// Verdicts are pure functions of (fault, t, s), so how queries are packed
+// into lanes or spread over workers never changes a result.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "faults/stuck_at.hpp"
@@ -71,56 +76,99 @@ class TernarySimulator {
 
   const LineModel* lines_;
   NetlistGraph graph_;  ///< shared structural layer behind the cone walks
-  friend class Def2Oracle;
 };
 
-/// Cache counters of one Def2Oracle shard (merged across workers by the
-/// parallel Procedure-1 engine).
+/// Work counters of one Def2Oracle (summed across workers by the parallel
+/// Procedure-1 engine).  Every kernel call is made on behalf of one set's
+/// trajectory, so the sums do not depend on the thread count.
 struct Def2OracleStats {
-  std::uint64_t good_sim_entries = 0;  ///< cached fault-free ternary sims
-  std::uint64_t verdict_hits = 0;
-  std::uint64_t verdict_misses = 0;
+  std::uint64_t word_passes = 0;     ///< detect_lanes() calls (<= 64 lanes each)
+  std::uint64_t verdict_hits = 0;    ///< always 0: there is no verdict memo
+  std::uint64_t verdict_misses = 0;  ///< (t, s) lanes simulated
 
   Def2OracleStats& operator+=(const Def2OracleStats& other) {
-    good_sim_entries += other.good_sim_entries;
+    word_passes += other.word_passes;
     verdict_hits += other.verdict_hits;
     verdict_misses += other.verdict_misses;
     return *this;
   }
 };
 
-/// Cached similarity oracle over a fixed fault list.
-class Def2Oracle {
+/// The compiled form of a circuit and a fixed fault list: gate types and a
+/// fanin CSR in topological order, every gate's fanout cone and observing
+/// primary outputs, the gates feeding each fault site's observing outputs,
+/// and each fault's injection site.  Immutable once built.
+class Def2Program {
  public:
-  Def2Oracle(const LineModel& lines, std::span<const StuckAtFault> faults);
+  Def2Program(const LineModel& lines, std::span<const StuckAtFault> faults);
 
-  /// True when tests t1 and t2 count as *different* detections of fault
-  /// `fault_index` (index into the list given at construction), i.e. the
-  /// common vector t12 does not detect the fault.
-  bool distinct(std::size_t fault_index, std::uint64_t t1, std::uint64_t t2);
-
-  /// Cache statistics (for the perf bench).
-  std::size_t good_cache_size() const { return good_cache_.size(); }
-  std::size_t verdict_cache_hits() const { return verdict_hits_; }
-  std::size_t verdict_cache_misses() const { return verdict_misses_; }
-
-  /// Snapshot of this shard's cache counters.
-  Def2OracleStats stats() const {
-    return {good_cache_.size(), verdict_hits_, verdict_misses_};
-  }
+  std::size_t fault_count() const { return targets_.size(); }
 
  private:
-  std::uint64_t agreement_key(std::uint64_t t1, std::uint64_t t2) const;
+  friend class Def2Oracle;
 
-  TernarySimulator sim_;
-  std::vector<StuckAtFault> faults_;
-  std::size_t input_count_;
-  // Agreement-keyed fault-free simulations, shared across faults.
-  std::unordered_map<std::uint64_t, std::vector<Ternary>> good_cache_;
-  // Per-fault verdict memo: key -> does t12 detect the fault.
-  std::vector<std::unordered_map<std::uint64_t, bool>> verdicts_;
-  std::size_t verdict_hits_ = 0;
-  std::size_t verdict_misses_ = 0;
+  Def2Program(const LineModel& lines, std::span<const StuckAtFault> faults,
+              const NetlistGraph& graph);
+
+  /// A fault lowered to simulation terms.
+  struct Target {
+    GateId root = kInvalidGate;  ///< stem: the driver; branch: the sink
+    int slot = -1;               ///< branch: the overridden fanin slot
+    bool stuck = false;
+  };
+
+  std::vector<GateType> types_;              ///< by gate id
+  std::vector<std::uint32_t> fanin_offsets_; ///< gate_count + 1 entries
+  std::vector<GateId> fanin_storage_;
+  std::vector<GateId> input_gates_;          ///< by declared input index
+  std::vector<GateId> const_gates_;          ///< kConst0 / kConst1 gates
+  ConeIndex cones_;
+  /// Per target root: the fanin gates feeding the root's cone outputs,
+  /// ascending -- the only gates whose fault-free values can matter.
+  std::vector<std::uint32_t> support_offsets_;  ///< gate_count + 1 entries
+  std::vector<GateId> support_storage_;
+  std::vector<Target> targets_;              ///< by fault index
+  std::size_t max_cone_outputs_ = 0;
+};
+
+/// One worker's Definition-2 query engine over a Def2Program.
+class Def2Oracle {
+ public:
+  static constexpr std::size_t kLanes = 64;
+
+  /// Runs `program`, which must outlive the oracle.
+  explicit Def2Oracle(const Def2Program& program);
+
+  /// The kernel: bit l of the result is set when the common vector of
+  /// ts[l] and ss[l] detects fault `fault_index` (index into the list the
+  /// program was built from), for 1 <= lanes <= 64.  Bits at and above
+  /// `lanes` are zero.  A lane with ts[l] == ss[l] simulates the fully
+  /// specified vector itself.
+  std::uint64_t detect_lanes(std::size_t fault_index, const std::uint64_t* ts,
+                             const std::uint64_t* ss, std::size_t lanes);
+
+  /// detect_lanes() over any number of pairs, in 64-lane chunks: bit p of
+  /// `detected` (ceil(|ts| / 64) words) is pair p's verdict.
+  void detect_pairs(std::size_t fault_index, std::span<const std::uint64_t> ts,
+                    std::span<const std::uint64_t> ss,
+                    std::span<std::uint64_t> detected);
+
+  /// True when tests t1 and t2 count as *different* detections of fault
+  /// `fault_index`, i.e. the common vector t12 does not detect the fault.
+  /// A test is never a new detection of itself.  A one-lane kernel call.
+  bool distinct(std::size_t fault_index, std::uint64_t t1, std::uint64_t t2);
+
+  /// This oracle's work counters.
+  Def2OracleStats stats() const { return stats_; }
+
+ private:
+  const Def2Program* program_;
+  // The four scratch word arrays: the dual-rail gate values (fault-free,
+  // then overwritten in place by the faulty cone), and the fault-free
+  // values of the cone's primary outputs saved before the overwrite.
+  std::vector<std::uint64_t> zero_, one_;
+  std::vector<std::uint64_t> po_zero_, po_one_;
+  Def2OracleStats stats_;
 };
 
 }  // namespace ndet

@@ -413,8 +413,8 @@ void expect_identical_average(const AverageCaseResult& a,
   EXPECT_EQ(a.stats.tests_added, b.stats.tests_added);
   EXPECT_EQ(a.stats.def1_fallbacks, b.stats.def1_fallbacks);
   EXPECT_EQ(a.stats.distinct_queries, b.stats.distinct_queries);
-  // def2_cache is deliberately excluded: worker cache sharing depends on
-  // scheduling and is documented as telemetry, not a result.
+  // def2_cache is deliberately excluded: a resumed run counts only the
+  // kernel work done after the resume.
 }
 
 Procedure1Config resume_config(DetectionDefinition definition) {

@@ -145,6 +145,15 @@ TEST(Ternary, InverterTable) {
             Ternary::kX);
 }
 
+TEST(Ternary, WrongFaninCountThrows) {
+  const std::array<Ternary, 1> single{Ternary::kOne};
+  EXPECT_THROW((void)eval_gate_ternary(GateType::kAnd, single), contract_error);
+  EXPECT_THROW((void)eval_gate_ternary(GateType::kNot, std::span<const Ternary>{}),
+               contract_error);
+  EXPECT_THROW((void)eval_gate_ternary(GateType::kInput, single),
+               contract_error);
+}
+
 // Property: on fully binary inputs, ternary evaluation agrees with the
 // two-valued evaluator for every gate type and every input combination.
 class TernaryBinaryAgreement : public ::testing::TestWithParam<GateType> {};
