@@ -88,11 +88,13 @@ void BM_ExhaustiveSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_ExhaustiveSimulation);
 
+// The production engine per fault kind, on one worker so the rows measure
+// the observability-factored kernel rather than the thread count.
 void BM_StuckAtDetectionSets(benchmark::State& state) {
   const Circuit& c = bench_circuit();
   const LineModel lines(c);
   const ExhaustiveSimulator sim(c);
-  const FaultSimulator fsim(sim, lines);
+  const BatchFaultSimulator fsim(sim, lines, {.num_threads = 1});
   const auto faults = collapse_stuck_at_faults(lines);
   for (auto _ : state) {
     const auto sets = fsim.detection_sets(faults);
@@ -107,13 +109,13 @@ void BM_BridgingDetectionSets(benchmark::State& state) {
   const Circuit& c = bench_circuit();
   const LineModel lines(c);
   const ExhaustiveSimulator sim(c);
-  const FaultSimulator fsim(sim, lines);
+  const BatchFaultSimulator fsim(sim, lines, {.num_threads = 1});
   const ReachMatrix reach(c);
   const auto faults = enumerate_four_way_bridging(c, reach);
   for (auto _ : state) {
     std::size_t detectable = 0;
-    for (const auto& fault : faults)
-      if (fsim.detection_set(fault).any()) ++detectable;
+    for (const Bitset& set : fsim.detection_sets(faults))
+      if (set.any()) ++detectable;
     benchmark::DoNotOptimize(detectable);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -124,8 +126,8 @@ BENCHMARK(BM_BridgingDetectionSets);
 // The DetectionDb::build hot path end to end: every stuck-at and every
 // bridging detection set of the circuit.  The Reference variant is the
 // per-fault baseline; the Batched variant takes a worker-pool width
-// (0 = all hardware threads), so Batched/1 isolates the precomputation and
-// scratch-arena wins from the threading win.
+// (0 = all hardware threads), so Batched/1 isolates the per-site factoring,
+// precomputation and scratch-arena wins from the threading win.
 void BM_AllDetectionSetsReference(benchmark::State& state) {
   const Circuit& c = bench_circuit();
   const LineModel lines(c);
@@ -164,14 +166,19 @@ void BM_AllDetectionSetsBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_AllDetectionSetsBatched)->Arg(1)->Arg(0);
 
+// Argument = circuit: 0 is bbara, 1 is the bridging-heavy s1a (70k
+// four-way bridges over 8192 vectors).
 void BM_DetectionDbBuild(benchmark::State& state) {
-  const Circuit& c = bench_circuit();
+  static const Circuit circuits[] = {bench_circuit(),
+                                     fsm_benchmark_circuit("s1a")};
+  const Circuit& c = circuits[static_cast<std::size_t>(state.range(0))];
+  state.SetLabel(c.name());
   for (auto _ : state) {
     const DetectionDb db = DetectionDb::build(c);
     benchmark::DoNotOptimize(db.targets().size());
   }
 }
-BENCHMARK(BM_DetectionDbBuild);
+BENCHMARK(BM_DetectionDbBuild)->Arg(0)->Arg(1);
 
 // The worst-case sweep, reference flavour: serial, unpruned, over the
 // all-dense database -- the pre-refactor behaviour BM_WorstCasePruned is

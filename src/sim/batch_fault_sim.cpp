@@ -42,84 +42,66 @@ BatchFaultSimulator::Scratch BatchFaultSimulator::make_scratch() const {
   const std::size_t gate_count = good_->circuit().gate_count();
   scratch.faulty.assign(gate_count, 0);
   scratch.fanins.assign(std::max<std::size_t>(max_fanin_, 1), 0);
-  scratch.in_cone.assign(gate_count, 0);
   scratch.changed.assign(gate_count, 0);
+  scratch.obs.assign(good_->word_count(), 0);
   return scratch;
 }
 
-BatchFaultSimulator::Injection BatchFaultSimulator::injection_for(
+BatchFaultSimulator::Activation BatchFaultSimulator::activation(
     const StuckAtFault& fault) const {
-  const Line& line = lines_->line(fault.line);
-  Injection inj;
-  inj.constant = fault.stuck_value ? ~std::uint64_t{0} : 0;
-  if (line.kind == LineKind::kStem) {
-    inj.kind = InjectionKind::kStemStuck;
-    inj.root = line.driver;
-  } else {
-    inj.kind = InjectionKind::kBranchStuck;
-    inj.root = line.sink;
-    inj.branch_slot = line.sink_slot;
-  }
-  return inj;
+  // The line differs from its fault-free value where good(driver) != c.
+  Activation act;
+  act.site = fault.line;
+  act.gate[0] = lines_->line(fault.line).driver;
+  act.value[0] = !fault.stuck_value;
+  return act;
 }
 
-BatchFaultSimulator::Injection BatchFaultSimulator::injection_for(
+BatchFaultSimulator::Activation BatchFaultSimulator::activation(
     const BridgingFault& fault) const {
-  Injection inj;
-  inj.kind = InjectionKind::kBridge;
-  inj.root = fault.victim;
-  inj.aggressor = fault.aggressor;
-  inj.wired_or = fault.aggressor_value;
-  return inj;
+  // The victim is forced to a2 where the aggressor carries a2, which flips
+  // it where it carried a1 = !a2.
+  Activation act;
+  act.site = lines_->stem_of(fault.victim);
+  act.gate[0] = fault.victim;
+  act.value[0] = fault.victim_value;
+  act.gate[1] = fault.aggressor;
+  act.value[1] = fault.aggressor_value;
+  return act;
 }
 
-void BatchFaultSimulator::simulate_into(const Injection& inj, Scratch& scratch,
-                                        Bitset& out) const {
+void BatchFaultSimulator::observe(LineId site, Scratch& scratch) const {
   const Circuit& circuit = good_->circuit();
-  const std::span<const GateId> cone = cone_gates(inj.root);
-  const std::span<const GateId> outputs = cone_outputs(inj.root);
-  out.clear();
-  if (outputs.empty()) return;  // fault effect unobservable
-
-  const std::uint32_t epoch = ++scratch.epoch;
-  if (epoch == 0) {
-    // Epoch counter wrapped: invalidate stale stamps once per 2^32 faults.
-    std::fill(scratch.in_cone.begin(), scratch.in_cone.end(), 0u);
-    scratch.epoch = 1;
-  }
-  const std::uint32_t mark = scratch.epoch;
-  for (const GateId g : cone) scratch.in_cone[g] = mark;
+  const Line& line = lines_->line(site);
+  const bool branch = line.kind == LineKind::kBranch;
+  const GateId root = branch ? line.sink : line.driver;
+  const std::span<const GateId> cone = cone_gates(root);
+  const std::span<const GateId> outputs = cone_outputs(root);
+  std::uint64_t* const obs = scratch.obs.data();
+  std::fill(scratch.obs.begin(), scratch.obs.end(), 0);
+  if (outputs.empty()) return;  // the site reaches no output
 
   std::uint64_t* const faulty = scratch.faulty.data();
   std::uint64_t* const fanin_words = scratch.fanins.data();
   std::uint8_t* const changed = scratch.changed.data();
-  const GateId root = inj.root;  // cone.front(): everything else is fanout
+  const Gate& root_gate = circuit.gate(root);
+  const std::size_t word_count = good_->word_count();
 
-  for (std::size_t w = 0; w < good_->word_count(); ++w) {
-    // Inject at the root.  A word where the injected value matches the
-    // fault-free value is inert: nothing downstream can change, so the
-    // whole cone is skipped (out was cleared up front).
+  for (std::size_t w = 0; w < word_count; ++w) {
+    // Flip the site.  A stem flips its driver's output on every vector; a
+    // branch flips one fanin slot of its sink, which the sink may absorb.
     std::uint64_t root_value;
-    if (inj.kind == InjectionKind::kStemStuck) {
-      root_value = inj.constant;
-    } else if (inj.kind == InjectionKind::kBridge) {
-      const std::uint64_t v = good_->good_word(root, w);
-      const std::uint64_t a = good_->good_word(inj.aggressor, w);
-      // The victim takes the aggressor's value exactly when the aggressor
-      // carries a2: a2 = 1 -> wired OR, a2 = 0 -> wired AND.
-      root_value = inj.wired_or ? (v | a) : (v & a);
+    if (!branch) {
+      root_value = ~good_->good_word(root, w);
     } else {
-      // Branch stuck-at: re-evaluate the sink with one fanin overridden.
-      const Gate& gate = circuit.gate(root);
-      const std::size_t fanin_count = gate.fanins.size();
-      for (std::size_t s = 0; s < fanin_count; ++s) {
-        fanin_words[s] = static_cast<int>(s) == inj.branch_slot
-                             ? inj.constant
-                             : good_->good_word(gate.fanins[s], w);
-      }
-      root_value = eval_gate_words(gate.type, {fanin_words, fanin_count});
+      const std::size_t fanin_count = root_gate.fanins.size();
+      for (std::size_t s = 0; s < fanin_count; ++s)
+        fanin_words[s] = good_->good_word(root_gate.fanins[s], w);
+      fanin_words[line.sink_slot] = ~fanin_words[line.sink_slot];
+      root_value =
+          eval_gate_words(root_gate.type, {fanin_words, fanin_count});
+      if (root_value == good_->good_word(root, w)) continue;
     }
-    if (root_value == good_->good_word(root, w)) continue;
     faulty[root] = root_value;
     changed[root] = 1;
 
@@ -131,8 +113,7 @@ void BatchFaultSimulator::simulate_into(const Injection& inj, Scratch& scratch,
       const std::size_t fanin_count = gate.fanins.size();
       bool active = false;
       for (std::size_t s = 0; s < fanin_count; ++s) {
-        const GateId fi = gate.fanins[s];
-        if (scratch.in_cone[fi] == mark && changed[fi]) {
+        if (changed[gate.fanins[s]]) {
           active = true;
           break;
         }
@@ -143,41 +124,80 @@ void BatchFaultSimulator::simulate_into(const Injection& inj, Scratch& scratch,
       }
       for (std::size_t s = 0; s < fanin_count; ++s) {
         const GateId fi = gate.fanins[s];
-        fanin_words[s] = scratch.in_cone[fi] == mark && changed[fi]
-                             ? faulty[fi]
-                             : good_->good_word(fi, w);
+        fanin_words[s] = changed[fi] ? faulty[fi] : good_->good_word(fi, w);
       }
-      const std::uint64_t value = eval_gate_words(gate.type,
-                                                  {fanin_words, fanin_count});
+      const std::uint64_t value =
+          eval_gate_words(gate.type, {fanin_words, fanin_count});
       faulty[g] = value;
       changed[g] = value != good_->good_word(g, w) ? 1 : 0;
     }
     std::uint64_t diff = 0;
     for (const GateId po : outputs)
       if (changed[po]) diff |= good_->good_word(po, w) ^ faulty[po];
-    if (w + 1 == good_->word_count()) diff &= good_->last_word_mask();
-    out.words()[w] = diff;
+    obs[w] = diff;
   }
+  obs[word_count - 1] &= good_->last_word_mask();
+  // Restore the invariant: no stale change flags outside the next cone.
+  for (const GateId g : cone) changed[g] = 0;
 }
 
-template <typename Fault>
-std::vector<Bitset> BatchFaultSimulator::run_batch(
-    std::span<const Fault> faults, const CancelToken* cancel) const {
-  std::vector<Bitset> sets(faults.size());
-  if (faults.empty()) return sets;
+void BatchFaultSimulator::mask_into(const Activation& act,
+                                    std::span<const std::uint64_t> obs,
+                                    Bitset& set) const {
+  std::uint64_t* const out = set.words();
+  // [good(g) == value] is good(g) when value = 1 and ~good(g) when 0.
+  const std::span<const std::uint64_t> a = good_->good_words(act.gate[0]);
+  const std::uint64_t a_flip = act.value[0] ? 0 : ~std::uint64_t{0};
+  if (act.gate[1] == kInvalidGate) {
+    for (std::size_t w = 0; w < obs.size(); ++w)
+      out[w] = obs[w] & (a[w] ^ a_flip);
+    return;
+  }
+  const std::span<const std::uint64_t> b = good_->good_words(act.gate[1]);
+  const std::uint64_t b_flip = act.value[1] ? 0 : ~std::uint64_t{0};
+  for (std::size_t w = 0; w < obs.size(); ++w)
+    out[w] = obs[w] & (a[w] ^ a_flip) & (b[w] ^ b_flip);
+}
+
+std::vector<Bitset> BatchFaultSimulator::factored_sets(
+    std::size_t count, const std::function<Activation(std::size_t)>& fault,
+    const CancelToken* cancel) const {
+  check_cancel(cancel, "fault_sim");
+  // Every result is allocated here, on the calling thread, which also frees
+  // them: workers only fill words, so no set crosses allocator arenas.
+  std::vector<Bitset> sets(count, Bitset(good_->vector_count()));
+  if (count == 0) return sets;
+
+  // Group the faults by site (a counting sort over line ids): begin[s] ..
+  // begin[s + 1] indexes the faults on site s inside `order`.
+  std::vector<std::uint32_t> begin(lines_->line_count() + 1, 0);
+  for (std::size_t i = 0; i < count; ++i) ++begin[fault(i).site + 1];
+  std::vector<LineId> sites;
+  for (LineId s = 0; s < lines_->line_count(); ++s) {
+    if (begin[s + 1] != 0) sites.push_back(s);
+    begin[s + 1] += begin[s];
+  }
+  std::vector<std::uint32_t> order(count);
+  {
+    std::vector<std::uint32_t> next(begin.begin(), begin.end() - 1);
+    for (std::size_t i = 0; i < count; ++i)
+      order[next[fault(i).site]++] = static_cast<std::uint32_t>(i);
+  }
 
   const ThreadPool local(num_threads_);
   const ThreadPool& pool = shared_pool_ ? *shared_pool_ : local;
-  // One scratch arena per worker, reused across all its faults -- zero
-  // allocations in steady state.
-  std::vector<Scratch> scratch(pool.workers_for(faults.size()));
+  // One scratch arena per worker, reused across all its sites: workers
+  // allocate nothing.
+  std::vector<Scratch> scratch(pool.workers_for(sites.size()));
   for (Scratch& s : scratch) s = make_scratch();
   pool.for_each_index(
-      faults.size(),
-      [&](std::size_t i, unsigned worker) {
-        Bitset set(good_->vector_count());
-        simulate_into(injection_for(faults[i]), scratch[worker], set);
-        sets[i] = std::move(set);
+      sites.size(),
+      [&](std::size_t k, unsigned worker) {
+        const LineId site = sites[k];
+        Scratch& arena = scratch[worker];
+        observe(site, arena);
+        for (std::uint32_t j = begin[site]; j < begin[site + 1]; ++j)
+          mask_into(fault(order[j]), arena.obs, sets[order[j]]);
       },
       cancel);
   // Workers drained without throwing; surface the cancellation here, where
@@ -186,28 +206,34 @@ std::vector<Bitset> BatchFaultSimulator::run_batch(
   return sets;
 }
 
+Bitset BatchFaultSimulator::factored_set(const Activation& act) const {
+  Scratch scratch = make_scratch();
+  observe(act.site, scratch);
+  Bitset set(good_->vector_count());
+  mask_into(act, scratch.obs, set);
+  return set;
+}
+
 std::vector<Bitset> BatchFaultSimulator::detection_sets(
     std::span<const StuckAtFault> faults, const CancelToken* cancel) const {
-  return run_batch(faults, cancel);
+  return factored_sets(
+      faults.size(), [&](std::size_t i) { return activation(faults[i]); },
+      cancel);
 }
 
 std::vector<Bitset> BatchFaultSimulator::detection_sets(
     std::span<const BridgingFault> faults, const CancelToken* cancel) const {
-  return run_batch(faults, cancel);
+  return factored_sets(
+      faults.size(), [&](std::size_t i) { return activation(faults[i]); },
+      cancel);
 }
 
 Bitset BatchFaultSimulator::detection_set(const StuckAtFault& fault) const {
-  Scratch scratch = make_scratch();
-  Bitset set(good_->vector_count());
-  simulate_into(injection_for(fault), scratch, set);
-  return set;
+  return factored_set(activation(fault));
 }
 
 Bitset BatchFaultSimulator::detection_set(const BridgingFault& fault) const {
-  Scratch scratch = make_scratch();
-  Bitset set(good_->vector_count());
-  simulate_into(injection_for(fault), scratch, set);
-  return set;
+  return factored_set(activation(fault));
 }
 
 }  // namespace ndet

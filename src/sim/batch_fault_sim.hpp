@@ -1,39 +1,57 @@
-// batch_fault_sim.hpp -- batched, multi-threaded detection-set computation.
+// batch_fault_sim.hpp -- batched, multi-threaded detection-set computation,
+// factored through per-site observability.
 //
-// The per-fault FaultSimulator recomputes the fanout cone and the affected
-// primary-output list of the injection site on every call.  DetectionDb and
-// the n-detection compactor, however, simulate *every* fault of a circuit,
-// so those structural queries are pure overhead past the first fault rooted
-// at each gate.  BatchFaultSimulator amortizes them:
+// Every fault model of the paper changes the circuit at exactly one SITE --
+// a line of the LineModel -- and replaces the site's value, vector by
+// vector, with a bit computed from fault-free values only:
+//
+//   * stuck-at c on a line driven by d: the line carries c, which differs
+//     from the fault-free value exactly where good(d) != c;
+//   * bridge (v, a1, a, a2): the aggressor is kept fault-free (non-feedback
+//     pairs), so the victim stem v carries a2 exactly where
+//     good(a) == a2, which differs from the fault-free value exactly where
+//     additionally good(v) == a1.
+//
+// On any single vector the faulty circuit is therefore either the good
+// circuit (site value unchanged) or the good circuit with the site's value
+// FLIPPED.  With Obs(site) = { vectors on which flipping the site changes
+// some primary output }, every detection set is a word-wise AND:
+//
+//   T(stuck-at c @ d)      = Obs(line) & [good(d) != c]
+//   T(v, a1, a, a2)        = Obs(v)    & [good(v) == a1] & [good(a) == a2]
+//
+// This is exact, not an approximation, so the sets are bit-identical to
+// per-fault injection.  The engine runs ONE flip simulation per distinct
+// site in a batch and derives every fault on that site from it -- the win
+// is on the bridging set G, whose size grows with the square of the
+// circuit while the number of victim sites grows linearly.
 //
 //   * all fanout cones and their affected-output lists come from the shared
-//     netlist graph core (netlist/graph.hpp): a NetlistGraph is built once
-//     and a ConeIndex freezes every root's cone and output list in CSR
-//     form, so a fault simulation starts with two array lookups instead of
-//     a DFS;
-//   * every worker thread owns a scratch arena (faulty-value columns, fanin
-//     word buffer, epoch-stamped cone-membership map) that is reused across
-//     all faults the thread processes -- zero allocations in steady state;
-//   * resimulation is event-driven: a 64-vector word whose injected value
-//     equals the fault-free value is skipped outright, and inside an active
-//     word a gate is re-evaluated only when one of its fanins actually
-//     changed.  Gate functions are deterministic, so the skipped work could
-//     only have reproduced fault-free values -- results stay bit-identical;
-//   * batch calls fan the fault list out across the shared ThreadPool
-//     (util/thread_pool.hpp) with dynamic (atomic counter) scheduling.
-//     Results are written into index-aligned slots, so the output is
-//     deterministic and independent of the thread count and of scheduling
-//     order.
+//     netlist graph core (netlist/graph.hpp): a ConeIndex freezes every
+//     root's cone and output list in CSR form, so a site simulation starts
+//     with two array lookups instead of a DFS;
+//   * the flip simulation is event-driven: inside each 64-vector word a
+//     cone gate is re-evaluated only when one of its fanins actually
+//     changed (a branch site whose sink absorbs the flip ends the word at
+//     the sink);
+//   * every worker thread owns a scratch arena (faulty-value column, fanin
+//     word buffer, changed flags, one Obs row) reused across all sites it
+//     processes, so Obs costs one row per worker, not one per site;
+//   * batch calls group the faults by site and fan the sites out across the
+//     shared ThreadPool (util/thread_pool.hpp) with dynamic scheduling.
+//     Each fault's set is written into its index-aligned slot, so the
+//     output is deterministic and independent of the thread count and of
+//     scheduling order.
 //
-// Injection semantics are identical to FaultSimulator (stem stuck-at, branch
-// stuck-at, four-way non-feedback bridging), and the computed T(f)/T(g) sets
-// are bit-identical to the per-fault reference -- the cross-validation test
-// in tests/batch_sim_test.cpp holds both engines to that.
+// sim/fault_sim.hpp and sim/reference.hpp keep per-fault injection and are
+// the independent oracles tests/batch_sim_test.cpp holds this engine to.
+// See DESIGN.md "Observability-factored fault simulation".
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -67,10 +85,10 @@ class BatchFaultSimulator {
   BatchFaultSimulator(const ExhaustiveSimulator& good, const LineModel& lines,
                       const ThreadPool& pool);
 
-  /// T(f) for every fault, index-aligned with the input span.  Fans out
-  /// across the worker pool.  A non-null `cancel` is polled between fault
-  /// claims; a fired token surfaces as Error{kCancelled|kDeadlineExceeded}
-  /// with stage "fault_sim".
+  /// T(f) for every fault, index-aligned with the input span.  Fans the
+  /// distinct fault sites out across the worker pool.  A non-null `cancel`
+  /// is polled before the call and between site claims; a fired token
+  /// surfaces as Error{kCancelled|kDeadlineExceeded} with stage "fault_sim".
   std::vector<Bitset> detection_sets(std::span<const StuckAtFault> faults,
                                      const CancelToken* cancel = nullptr) const;
   std::vector<Bitset> detection_sets(std::span<const BridgingFault> faults,
@@ -89,37 +107,43 @@ class BatchFaultSimulator {
   unsigned thread_count() const { return num_threads_; }
 
  private:
-  enum class InjectionKind : std::uint8_t { kStemStuck, kBranchStuck, kBridge };
-
-  /// A fault lowered to simulation terms: where resimulation starts and how
-  /// the start gate's value is produced.
-  struct Injection {
-    InjectionKind kind = InjectionKind::kStemStuck;
-    GateId root = kInvalidGate;
-    std::uint64_t constant = 0;       ///< stuck value as a packed word
-    int branch_slot = -1;             ///< branch stuck-at: fanin slot of root
-    GateId aggressor = kInvalidGate;  ///< bridging only
-    bool wired_or = false;            ///< bridging: a2 = 1 -> OR, a2 = 0 -> AND
+  /// A fault in factored form: T = Obs(site) & [good(gate[0]) == value[0]]
+  /// & [good(gate[1]) == value[1]], the second term absent when gate[1] is
+  /// kInvalidGate.
+  struct Activation {
+    LineId site = 0;
+    GateId gate[2] = {kInvalidGate, kInvalidGate};
+    bool value[2] = {false, false};
   };
 
-  /// Per-thread reusable buffers.  `in_cone` uses epoch stamping so marking
-  /// the next fault's cone is O(|cone|) with no clearing pass.
+  /// Per-thread reusable buffers.  `changed` is all-zero outside the cone
+  /// being simulated, so fanins outside the cone read fault-free values
+  /// without a membership test.
   struct Scratch {
     std::vector<std::uint64_t> faulty;   ///< per-gate faulty word column
     std::vector<std::uint64_t> fanins;   ///< packed fanin words of one gate
-    std::vector<std::uint32_t> in_cone;  ///< epoch stamps, by gate id
     std::vector<std::uint8_t> changed;   ///< faulty != good, by gate id
-    std::uint32_t epoch = 0;
+    std::vector<std::uint64_t> obs;      ///< Obs(site), one word per 64 vectors
   };
 
   Scratch make_scratch() const;
-  Injection injection_for(const StuckAtFault& fault) const;
-  Injection injection_for(const BridgingFault& fault) const;
-  void simulate_into(const Injection& inj, Scratch& scratch, Bitset& out) const;
+  Activation activation(const StuckAtFault& fault) const;
+  Activation activation(const BridgingFault& fault) const;
 
-  template <typename Fault>
-  std::vector<Bitset> run_batch(std::span<const Fault> faults,
-                                const CancelToken* cancel) const;
+  /// The flip kernel: fills scratch.obs with Obs(site).
+  void observe(LineId site, Scratch& scratch) const;
+
+  /// Writes Obs & the activation terms into `set`.
+  void mask_into(const Activation& act, std::span<const std::uint64_t> obs,
+                 Bitset& set) const;
+
+  /// The batch driver: groups faults by site, simulates each distinct site
+  /// once and masks out every fault on it.
+  std::vector<Bitset> factored_sets(
+      std::size_t count, const std::function<Activation(std::size_t)>& fault,
+      const CancelToken* cancel) const;
+
+  Bitset factored_set(const Activation& act) const;
 
   const ExhaustiveSimulator* good_;
   const LineModel* lines_;

@@ -55,6 +55,11 @@ class ExhaustiveSimulator {
     return values_[g][w];
   }
 
+  /// All packed fault-free words of gate `g` (word_count() entries).
+  std::span<const std::uint64_t> good_words(GateId g) const {
+    return values_[g];
+  }
+
   /// Fault-free value of gate `g` under input vector `v`.
   bool good_value(GateId g, std::uint64_t v) const;
 

@@ -1,14 +1,19 @@
-// batch_sim_test.cpp -- the batched engine against the per-fault reference.
+// batch_sim_test.cpp -- the batched engine against the per-fault oracles.
 //
-// BatchFaultSimulator exists purely for speed; its contract is that every
-// T(f) and T(g) it produces is bit-identical to FaultSimulator's.  The suite
-// holds it to that across the FSM benchmark circuits (every machine small
-// enough for exhaustive simulation in test time), in explicit-vector (list)
-// mode, and under varying worker-pool widths.
+// BatchFaultSimulator derives every T(f) and T(g) from one flip simulation
+// per fault site (Obs(site) AND the fault's activation condition).  Its
+// contract is that every set is bit-identical to per-fault injection.  The
+// suite holds it to that against both independent engines: the per-fault
+// FaultSimulator across the FSM benchmark circuits, and sim/reference's
+// naive gate-by-gate injection on small circuits, in explicit-vector (list)
+// mode, on spans with duplicate faults and unobservable sites, under
+// varying worker-pool widths, and under cancellation.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detection_db.hpp"
@@ -21,7 +26,10 @@
 #include "sim/batch_fault_sim.hpp"
 #include "sim/exhaustive.hpp"
 #include "sim/fault_sim.hpp"
+#include "sim/reference.hpp"
 #include "test_util.hpp"
+#include "util/cancel.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ndet {
 namespace {
@@ -50,6 +58,64 @@ void expect_identical_sets(const std::vector<Bitset>& reference,
     ASSERT_EQ(reference[i], batched[i])
         << machine << " " << family << " fault " << i;
   }
+}
+
+/// T(h) by sim/reference's naive per-fault injection, one vector at a
+/// time over the simulator's vectors (list mode maps position -> vector id).
+template <typename Fault, typename Model>
+Bitset reference_set(const ExhaustiveSimulator& good, const Model& model,
+                     const Fault& fault) {
+  Bitset set(good.vector_count());
+  for (std::uint64_t p = 0; p < good.vector_count(); ++p) {
+    const std::uint64_t id = good.exhaustive() ? p : good.explicit_vectors()[p];
+    if (reference_detects(model, fault, id)) set.set(p);
+  }
+  return set;
+}
+
+/// Every stuck-at and bridging set of the batched engine against the naive
+/// reference.
+void expect_matches_reference(const ExhaustiveSimulator& good,
+                              const LineModel& lines,
+                              const std::vector<StuckAtFault>& stuck,
+                              const std::vector<BridgingFault>& bridges,
+                              const std::string& label) {
+  const BatchFaultSimulator batched(good, lines, {.num_threads = 2});
+  const std::vector<Bitset> stuck_sets = batched.detection_sets(stuck);
+  ASSERT_EQ(stuck_sets.size(), stuck.size()) << label;
+  for (std::size_t i = 0; i < stuck.size(); ++i) {
+    ASSERT_EQ(stuck_sets[i], reference_set(good, lines, stuck[i]))
+        << label << " stuck-at " << to_string(stuck[i], lines);
+    ASSERT_EQ(batched.detection_set(stuck[i]), stuck_sets[i])
+        << label << " single stuck-at " << to_string(stuck[i], lines);
+  }
+  const Circuit& circuit = lines.circuit();
+  const std::vector<Bitset> bridge_sets = batched.detection_sets(bridges);
+  ASSERT_EQ(bridge_sets.size(), bridges.size()) << label;
+  for (std::size_t i = 0; i < bridges.size(); ++i) {
+    ASSERT_EQ(bridge_sets[i], reference_set(good, circuit, bridges[i]))
+        << label << " bridge " << to_string(bridges[i], circuit);
+    ASSERT_EQ(batched.detection_set(bridges[i]), bridge_sets[i])
+        << label << " single bridge " << to_string(bridges[i], circuit);
+  }
+}
+
+/// One driver feeding two slots of the same sink (a into AND(a, a, b), b
+/// into XOR(b, b)), so a branch flip must override exactly its own slot,
+/// plus a multi-input gate that reaches no output.
+Circuit repeated_fanin_circuit() {
+  CircuitBuilder b("repeated_fanin");
+  const GateId a = b.add_input("a");
+  const GateId in_b = b.add_input("b");
+  const GateId c = b.add_input("c");
+  const GateId p = b.add_gate(GateType::kAnd, "p", {a, a, in_b});
+  const GateId q = b.add_gate(GateType::kXor, "q", {in_b, in_b});
+  const GateId r = b.add_gate(GateType::kOr, "r", {p, c});
+  const GateId s = b.add_gate(GateType::kXnor, "s", {q, r});
+  b.add_gate(GateType::kNand, "dangling", {a, c});
+  b.mark_output(p);
+  b.mark_output(s);
+  return b.build();
 }
 
 TEST(BatchFaultSim, CrossValidatesAgainstReferenceOnFsmSuite) {
@@ -89,6 +155,83 @@ TEST(BatchFaultSim, CrossValidatesInExplicitVectorMode) {
                         batched.detection_sets(targets), "bbara", "list-mode");
 }
 
+TEST(BatchFaultSim, FactoredSetsMatchPerFaultInjection) {
+  // Exhaustive mode: every line's two stuck-at faults (collapsing would
+  // hide faults on unobservable lines) and every four-way bridge.
+  const std::vector<std::pair<std::string, Circuit>> circuits = {
+      {"paper_example", paper_example()},
+      {"repeated_fanin", repeated_fanin_circuit()},
+      {"lion", fsm_benchmark_circuit("lion")},
+      {"train4", fsm_benchmark_circuit("train4")},
+      {"tav", fsm_benchmark_circuit("tav")}};
+  for (const auto& [name, circuit] : circuits) {
+    const LineModel lines(circuit);
+    const ExhaustiveSimulator good(circuit);
+    const ReachMatrix reach(circuit);
+    expect_matches_reference(good, lines, all_stuck_at_faults(lines),
+                             enumerate_four_way_bridging(circuit, reach),
+                             name);
+  }
+
+  // lion has gates outside every output cone: their sites have an empty
+  // Obs, and Obs(line) = T(line/0) | T(line/1).
+  const Circuit lion = fsm_benchmark_circuit("lion");
+  const LineModel lion_lines(lion);
+  const ExhaustiveSimulator lion_good(lion);
+  const BatchFaultSimulator lion_sim(lion_good, lion_lines);
+  std::vector<LineId> unobservable;
+  for (LineId l = 0; l < lion_lines.line_count(); ++l) {
+    const Line& line = lion_lines.line(l);
+    const GateId root = line.kind == LineKind::kStem ? line.driver : line.sink;
+    if (lion_sim.cone_outputs(root).empty()) {
+      unobservable.push_back(l);
+      Bitset obs = lion_sim.detection_set(StuckAtFault{l, false});
+      obs |= lion_sim.detection_set(StuckAtFault{l, true});
+      EXPECT_TRUE(obs.none()) << line.name;
+    }
+  }
+  ASSERT_FALSE(unobservable.empty());
+
+  // A span with duplicates, unobservable sites and sites in no particular
+  // order: every slot still gets its own fault's set.
+  std::vector<StuckAtFault> mixed;
+  const std::vector<StuckAtFault> all = all_stuck_at_faults(lion_lines);
+  for (std::size_t i = all.size(); i-- > 0;) {
+    mixed.push_back(all[i]);
+    if (i % 3 == 0) mixed.push_back(all[(i * 7) % all.size()]);
+  }
+  for (const LineId l : unobservable) {
+    mixed.push_back(StuckAtFault{l, false});
+    mixed.push_back(StuckAtFault{l, true});
+  }
+  const ReachMatrix lion_reach(lion);
+  const std::vector<BridgingFault> lion_bridges =
+      enumerate_four_way_bridging(lion, lion_reach);
+  std::vector<BridgingFault> mixed_bridges;
+  for (std::size_t i = 0; i < lion_bridges.size(); i += 5) {
+    mixed_bridges.push_back(lion_bridges[lion_bridges.size() - 1 - i]);
+    mixed_bridges.push_back(lion_bridges[i]);
+  }
+  mixed_bridges.push_back(mixed_bridges.front());
+  expect_matches_reference(lion_good, lion_lines, mixed, mixed_bridges,
+                           "lion mixed span");
+
+  // List mode with 100 vectors: two words, the second masked to 36 bits --
+  // the path the n-detection compactor grades test sets through.
+  const Circuit s8 = fsm_benchmark_circuit("s8");
+  const LineModel s8_lines(s8);
+  std::vector<std::uint64_t> vectors;
+  for (std::uint64_t p = 0; p < 100; ++p)
+    vectors.push_back((37 * p + 11) % s8.vector_space_size());
+  const ExhaustiveSimulator s8_good(s8, vectors);
+  ASSERT_EQ(s8_good.word_count(), 2u);
+  ASSERT_NE(s8_good.vector_count() % 64, 0u);
+  const ReachMatrix s8_reach(s8);
+  expect_matches_reference(s8_good, s8_lines, all_stuck_at_faults(s8_lines),
+                           enumerate_four_way_bridging(s8, s8_reach),
+                           "s8 list mode");
+}
+
 TEST(BatchFaultSim, DeterministicAcrossThreadCounts) {
   const Circuit circuit = fsm_benchmark_circuit("bbara");
   const LineModel lines(circuit);
@@ -97,18 +240,75 @@ TEST(BatchFaultSim, DeterministicAcrossThreadCounts) {
   const ReachMatrix reach(circuit);
   const std::vector<BridgingFault> bridges =
       enumerate_four_way_bridging(circuit, reach);
+  // Small batches: every bridge on one victim (one site, many faults) and
+  // the stuck-at faults of three lines (three sites) -- fewer sites than
+  // the wider pools have workers.
+  std::vector<BridgingFault> one_site;
+  for (const BridgingFault& fault : bridges)
+    if (fault.victim == bridges.front().victim) one_site.push_back(fault);
+  ASSERT_GT(one_site.size(), 8u);
+  const std::vector<StuckAtFault> three_sites(targets.end() - 5,
+                                              targets.end());
+  const FaultSimulator reference(good, lines);
+  const std::vector<Bitset> one_site_expected =
+      reference.detection_sets(one_site);
+  const std::vector<Bitset> three_sites_expected =
+      reference.detection_sets(three_sites);
 
   const BatchFaultSimulator single(good, lines, {.num_threads = 1});
   const std::vector<Bitset> stuck_baseline = single.detection_sets(targets);
   const std::vector<Bitset> bridge_baseline = single.detection_sets(bridges);
 
-  for (const unsigned threads : {2u, 3u, 8u}) {
+  for (const unsigned threads : {1u, 2u, 8u, 0u}) {
     const BatchFaultSimulator pool(good, lines, {.num_threads = threads});
-    EXPECT_EQ(pool.thread_count(), threads);
-    expect_identical_sets(stuck_baseline, pool.detection_sets(targets),
-                          "bbara", "stuck-at (threads)");
-    expect_identical_sets(bridge_baseline, pool.detection_sets(bridges),
-                          "bbara", "bridging (threads)");
+    EXPECT_EQ(pool.thread_count(), resolve_thread_count(threads));
+    const std::string label = "bbara threads=" + std::to_string(threads);
+    expect_identical_sets(stuck_baseline, pool.detection_sets(targets), label,
+                          "stuck-at");
+    expect_identical_sets(bridge_baseline, pool.detection_sets(bridges), label,
+                          "bridging");
+    expect_identical_sets(one_site_expected, pool.detection_sets(one_site),
+                          label, "one-site bridging");
+    expect_identical_sets(three_sites_expected,
+                          pool.detection_sets(three_sites), label,
+                          "three-site stuck-at");
+  }
+}
+
+TEST(BatchFaultSim, CancelledTokenRaisesFaultSimError) {
+  // dk16's bridging batch runs tens of milliseconds on one worker, so a
+  // 1 ms deadline fires while sites are being simulated.
+  const Circuit circuit = fsm_benchmark_circuit("dk16");
+  const LineModel lines(circuit);
+  const ExhaustiveSimulator good(circuit);
+  const ReachMatrix reach(circuit);
+  const std::vector<BridgingFault> bridges =
+      enumerate_four_way_bridging(circuit, reach);
+  const std::vector<StuckAtFault> targets = collapse_stuck_at_faults(lines);
+
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const BatchFaultSimulator batched(good, lines, {.num_threads = threads});
+
+    CancelToken fired;
+    fired.cancel();
+    try {
+      (void)batched.detection_sets(targets, &fired);
+      FAIL() << "expected Error from a pre-fired token";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kCancelled);
+      EXPECT_EQ(e.stage(), "fault_sim");
+    }
+
+    CancelToken deadline;
+    deadline.set_deadline_after_ms(1);
+    try {
+      (void)batched.detection_sets(bridges, &deadline);
+      FAIL() << "expected Error from a deadline inside the batch";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kDeadlineExceeded);
+      EXPECT_EQ(e.stage(), "fault_sim");
+    }
   }
 }
 
