@@ -16,6 +16,7 @@
 #include "core/partition.hpp"
 #include "core/pair_kernels.hpp"
 #include "core/procedure1.hpp"
+#include "core/session.hpp"
 #include "core/worst_case.hpp"
 #include "faults/stuck_at.hpp"
 #include "fsm/benchmarks.hpp"
@@ -259,6 +260,28 @@ void BM_PartitionedWorstCase(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
 }
 BENCHMARK(BM_PartitionedWorstCase)->Arg(1)->Arg(0);
+
+// The paper-table session path on keyb, a circuit whose structure-mode
+// partition is the whole circuit: a fresh session runs worst_case() and
+// then partitioned(), which answers the one cone from the session's memo
+// instead of building a second database (argument = thread count).
+void BM_SessionPartitioned(benchmark::State& state) {
+  static const Circuit circuit = fsm_benchmark_circuit("keyb");
+  PartitionOptions request;
+  request.max_inputs = circuit.input_count();
+  request.by_structure = true;
+  SessionOptions options;
+  options.num_threads = static_cast<unsigned>(state.range(0));
+  std::size_t reused = 0;
+  for (auto _ : state) {
+    AnalysisSession session(circuit, options);
+    benchmark::DoNotOptimize(session.worst_case().nmin.size());
+    benchmark::DoNotOptimize(session.partitioned(request).size());
+    reused = session.stats().partitioned_reused;
+  }
+  state.counters["reused"] = static_cast<double>(reused);
+}
+BENCHMARK(BM_SessionPartitioned)->Arg(1)->Arg(0);
 
 // Procedure 1, sharded over its K sets: arguments are {K, worker threads}
 // (1 = serial on the calling thread, 0 = all hardware).  Results are

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "netlist/graph.hpp"
 #include "util/bitset.hpp"
@@ -104,18 +105,13 @@ std::vector<OutputGroup> group_by_budget(const Circuit& circuit,
 }
 
 /// Folds `from` into `into`, keeping the merged outputs in declaration
-/// order (= ascending position in circuit.outputs(), which singleton
-/// construction preserved).
-void merge_groups(const Circuit& circuit, OutputGroup& into,
+/// order: ascending `position` (gate id -> index in circuit.outputs()).
+void merge_groups(std::span<const std::size_t> position, OutputGroup& into,
                   const OutputGroup& from) {
   into.outputs.insert(into.outputs.end(), from.outputs.begin(),
                       from.outputs.end());
   std::sort(into.outputs.begin(), into.outputs.end(),
-            [&](GateId a, GateId b) {
-              const auto& order = circuit.outputs();
-              return std::find(order.begin(), order.end(), a) <
-                     std::find(order.begin(), order.end(), b);
-            });
+            [&](GateId a, GateId b) { return position[a] < position[b]; });
   into.cone |= from.cone;
   into.support.insert(from.support.begin(), from.support.end());
 }
@@ -128,8 +124,12 @@ std::vector<OutputGroup> group_by_structure(const Circuit& circuit,
                                             ConeQuery& query,
                                             const PartitionOptions& options) {
   std::vector<OutputGroup> groups;
-  for (const GateId po : circuit.outputs())
+  std::vector<std::size_t> position(circuit.gate_count());
+  for (std::size_t i = 0; i < circuit.output_count(); ++i) {
+    const GateId po = circuit.outputs()[i];
+    position[po] = i;
     groups.push_back(singleton_group(circuit, query, options.max_inputs, po));
+  }
 
   while (groups.size() > 1) {
     double best_ratio = 0.0;
@@ -154,7 +154,7 @@ std::vector<OutputGroup> group_by_structure(const Circuit& circuit,
       }
     }
     if (best_i == groups.size()) break;
-    merge_groups(circuit, groups[best_i], groups[best_j]);
+    merge_groups(position, groups[best_i], groups[best_j]);
     groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(best_j));
   }
 
@@ -167,7 +167,7 @@ std::vector<OutputGroup> group_by_structure(const Circuit& circuit,
       ++i;
       continue;
     }
-    merge_groups(circuit, groups[i == 0 ? 1 : i - 1], groups[i]);
+    merge_groups(position, groups[i == 0 ? 1 : i - 1], groups[i]);
     groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(i));
     // No increment: the next group slid into slot i and is examined next.
   }
@@ -246,11 +246,32 @@ std::vector<ConeReport> partitioned_worst_case(const Circuit& circuit,
       circuit, PartitionOptions{.max_inputs = max_inputs}, pool);
 }
 
+ConeReport summarize_cone(const Circuit& cone, const DetectionDb& db,
+                          const WorstCaseResult& worst) {
+  ConeReport report;
+  report.cone_name = cone.name();
+  report.inputs = cone.input_count();
+  report.outputs = cone.output_count();
+  report.gates = cone.gate_count() - cone.input_count();
+  report.untargeted_faults = db.untargeted().size();
+  report.fraction_nmin_at_most_10 = worst.fraction_at_most(10);
+  report.max_finite_nmin = worst.max_finite_nmin();
+  report.never_guaranteed = worst.count_at_least(kNeverGuaranteed);
+  return report;
+}
+
 std::vector<ConeReport> partitioned_worst_case(
     const Circuit& circuit, const PartitionOptions& partition,
     const ThreadPool& pool, const CancelToken* cancel) {
   check_cancel(cancel, "partitioned");
-  const std::vector<Circuit> cones = partition_by_outputs(circuit, partition);
+  return partitioned_worst_case(partition_by_outputs(circuit, partition), pool,
+                                cancel);
+}
+
+std::vector<ConeReport> partitioned_worst_case(const std::vector<Circuit>& cones,
+                                               const ThreadPool& pool,
+                                               const CancelToken* cancel) {
+  check_cancel(cancel, "partitioned");
   std::vector<ConeReport> reports(cones.size());
   // One worker per cone, with the pool width split evenly among the cones'
   // nested builds and sweeps (full width for a single cone).  The static
@@ -264,17 +285,8 @@ std::vector<ConeReport> partitioned_worst_case(
     const ThreadPool inner_pool(inner);
     const DetectionDb db =
         DetectionDb::build(cone, DetectionDbOptions{}, inner_pool, cancel);
-    const WorstCaseResult worst = analyze_worst_case(db, inner_pool, cancel);
-    ConeReport report;
-    report.cone_name = cone.name();
-    report.inputs = cone.input_count();
-    report.outputs = cone.output_count();
-    report.gates = cone.gate_count() - cone.input_count();
-    report.untargeted_faults = db.untargeted().size();
-    report.fraction_nmin_at_most_10 = worst.fraction_at_most(10);
-    report.max_finite_nmin = worst.max_finite_nmin();
-    report.never_guaranteed = worst.count_at_least(kNeverGuaranteed);
-    reports[c] = std::move(report);
+    reports[c] =
+        summarize_cone(cone, db, analyze_worst_case(db, inner_pool, cancel));
   }, cancel);
   check_cancel(cancel, "partitioned");
   return reports;

@@ -17,7 +17,9 @@
 //     fewer shared gates are analyzed twice and fewer bridging pairs span
 //     cones, instead of whatever the declaration order happened to give.
 //
-// The full analysis then runs per cone.  Faults on logic shared between
+// The full analysis then runs per cone (AnalysisSession::partitioned
+// answers a lone cone equal to the whole circuit from its own memoized
+// database instead; DESIGN.md §15).  Faults on logic shared between
 // cones are analyzed in each cone that contains them; bridging pairs that
 // span two cones are not represented -- this is the approximation the paper
 // accepts in exchange for applicability to large designs.
@@ -82,6 +84,11 @@ struct ConeReport {
 /// Serializes one cone summary as a JSON object.
 std::string to_json(const ConeReport& report);
 
+/// The one report builder: summarizes a cone from its database and
+/// worst-case result.  The name and sizes come from `cone`.
+ConeReport summarize_cone(const Circuit& cone, const DetectionDb& db,
+                          const WorstCaseResult& worst);
+
 /// Partitions the circuit and runs the worst-case analysis on every cone.
 /// Cones are independent, so they are sharded across the worker pool
 /// (options.num_threads), and the remaining pool width is split evenly
@@ -105,5 +112,14 @@ std::vector<ConeReport> partitioned_worst_case(const Circuit& circuit,
 std::vector<ConeReport> partitioned_worst_case(
     const Circuit& circuit, const PartitionOptions& partition,
     const ThreadPool& pool, const CancelToken* cancel = nullptr);
+
+/// Same, over cones already extracted by partition_by_outputs, so a caller
+/// that inspects the partition first never computes it twice
+/// (AnalysisSession::partitioned answers a whole-circuit cone from its own
+/// memo and hands every other partition here).  Each cone gets a fresh
+/// DetectionDb under the default DetectionDbOptions.
+std::vector<ConeReport> partitioned_worst_case(const std::vector<Circuit>& cones,
+                                               const ThreadPool& pool,
+                                               const CancelToken* cancel = nullptr);
 
 }  // namespace ndet

@@ -34,6 +34,19 @@ std::uint64_t Circuit::vector_space_size() const {
   return std::uint64_t{1} << inputs_.size();
 }
 
+bool same_netlist(const Circuit& a, const Circuit& b) {
+  if (a.inputs() != b.inputs() || a.outputs() != b.outputs() ||
+      a.gate_count() != b.gate_count())
+    return false;
+  for (GateId g = 0; g < a.gate_count(); ++g) {
+    const Gate& x = a.gate(g);
+    const Gate& y = b.gate(g);
+    if (x.type != y.type || x.name != y.name || x.fanins != y.fanins)
+      return false;
+  }
+  return true;
+}
+
 CircuitBuilder::CircuitBuilder(std::string circuit_name) {
   circuit_.name_ = std::move(circuit_name);
 }

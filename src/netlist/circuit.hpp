@@ -84,6 +84,12 @@ class Circuit {
   int depth_ = 0;
 };
 
+/// True when the two circuits are the same netlist: the same inputs and the
+/// same outputs in the same order, and the same gates (type, name, fanins)
+/// at the same ids.  The circuit names are ignored.  Equal netlists give
+/// identical fault lists, detection sets and nmin values.
+bool same_netlist(const Circuit& a, const Circuit& b);
+
 /// Incremental, validating circuit constructor.
 class CircuitBuilder {
  public:

@@ -25,6 +25,7 @@
 #include "netlist/graph.hpp"
 #include "netlist/library.hpp"
 #include "netlist/reach.hpp"
+#include "test_util.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -317,18 +318,7 @@ TEST(GraphPartition, StructureModeMatchesBudgetModeOnDisjointCones) {
   // must produce the same three singleton groups (structure mode finds no
   // overlap to merge), and the per-cone worst-case reports must be
   // bit-identical.
-  CircuitBuilder b("tri_majority");
-  for (int block = 0; block < 3; ++block) {
-    const std::string s = std::to_string(block);
-    const GateId x = b.add_input("x" + s);
-    const GateId y = b.add_input("y" + s);
-    const GateId z = b.add_input("z" + s);
-    const GateId xy = b.add_gate(GateType::kAnd, "xy" + s, {x, y});
-    const GateId yz = b.add_gate(GateType::kAnd, "yz" + s, {y, z});
-    const GateId xz = b.add_gate(GateType::kAnd, "xz" + s, {x, z});
-    b.mark_output(b.add_gate(GateType::kOr, "m" + s, {xy, yz, xz}));
-  }
-  const Circuit circuit = b.build();
+  const Circuit circuit = testing::tri_majority();
 
   PartitionOptions budget;
   budget.max_inputs = 3;
@@ -359,34 +349,44 @@ TEST(GraphPartition, StructureModeMergesSharedLogicAcrossDeclarationGaps) {
   // Outputs a and c share a subcircuit; b is independent and declared
   // between them.  Budget mode can only merge neighbors in declaration
   // order, so {a, c} never group; structure mode pairs them by measured
-  // cone overlap regardless of declaration position.
-  CircuitBuilder b("shared_pair");
-  const GateId x0 = b.add_input("x0");
-  const GateId x1 = b.add_input("x1");
-  const GateId x2 = b.add_input("x2");
-  const GateId y0 = b.add_input("y0");
-  const GateId y1 = b.add_input("y1");
-  const GateId shared = b.add_gate(GateType::kAnd, "shared", {x0, x1});
-  b.mark_output(b.add_gate(GateType::kOr, "a", {shared, x2}));
-  b.mark_output(b.add_gate(GateType::kAnd, "b", {y0, y1}));
-  b.mark_output(b.add_gate(GateType::kXor, "c", {shared, x2}));
-  const Circuit circuit = b.build();
+  // cone overlap regardless of declaration position.  The second case
+  // declares the outputs against gate-id order (c, b, a): merged outputs
+  // follow declaration order, not gate ids.
+  for (const bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "declared c, b, a" : "declared a, b, c");
+    CircuitBuilder b("shared_pair");
+    const GateId x0 = b.add_input("x0");
+    const GateId x1 = b.add_input("x1");
+    const GateId x2 = b.add_input("x2");
+    const GateId y0 = b.add_input("y0");
+    const GateId y1 = b.add_input("y1");
+    const GateId shared = b.add_gate(GateType::kAnd, "shared", {x0, x1});
+    const GateId a = b.add_gate(GateType::kOr, "a", {shared, x2});
+    const GateId mid = b.add_gate(GateType::kAnd, "b", {y0, y1});
+    const GateId c = b.add_gate(GateType::kXor, "c", {shared, x2});
+    b.mark_output(reversed ? c : a);
+    b.mark_output(mid);
+    b.mark_output(reversed ? a : c);
+    const Circuit circuit = b.build();
 
-  PartitionOptions structure;
-  structure.max_inputs = 3;
-  structure.by_structure = true;
-  structure.min_overlap = 0.25;
-  const std::vector<Circuit> cones = partition_by_outputs(circuit, structure);
-  ASSERT_EQ(cones.size(), 2u);
-  // The merged cone keeps its outputs in declaration order: a then c.
-  EXPECT_EQ(cones[0].output_count(), 2u);
-  EXPECT_EQ(cones[0].name(), "shared_pair_cone_a_c");
-  EXPECT_EQ(cones[1].output_count(), 1u);
-  EXPECT_EQ(cones[1].name(), "shared_pair_cone_b");
+    PartitionOptions structure;
+    structure.max_inputs = 3;
+    structure.by_structure = true;
+    structure.min_overlap = 0.25;
+    const std::vector<Circuit> cones =
+        partition_by_outputs(circuit, structure);
+    ASSERT_EQ(cones.size(), 2u);
+    // The merged cone keeps its outputs in declaration order.
+    EXPECT_EQ(cones[0].output_count(), 2u);
+    EXPECT_EQ(cones[0].name(),
+              reversed ? "shared_pair_cone_c_a" : "shared_pair_cone_a_c");
+    EXPECT_EQ(cones[1].output_count(), 1u);
+    EXPECT_EQ(cones[1].name(), "shared_pair_cone_b");
 
-  // Budget mode with the same budget cannot bridge the declaration gap.
-  const std::vector<Circuit> greedy = partition_by_outputs(circuit, 3);
-  EXPECT_EQ(greedy.size(), 3u);
+    // Budget mode with the same budget cannot bridge the declaration gap.
+    const std::vector<Circuit> greedy = partition_by_outputs(circuit, 3);
+    EXPECT_EQ(greedy.size(), 3u);
+  }
 }
 
 TEST(GraphPartition, StructureModeFoldsConstantOutputsIntoANeighbor) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "netlist/bench_io.hpp"
 #include "netlist/circuit.hpp"
 #include "netlist/generator.hpp"
@@ -94,6 +98,47 @@ TEST(Circuit, LevelsFollowLongestPath) {
 }
 
 // --- Line model -----------------------------------------------------------
+
+/// One edit to same_netlist's base circuit.
+struct NetlistVariant {
+  GateType y_type = GateType::kAnd;
+  bool swap_fanins = false;   ///< y = AND(b, a)
+  bool swap_inputs = false;   ///< declare input b before a
+  bool swap_outputs = false;  ///< outputs (z, y)
+  bool duplicate_y = false;   ///< extra output w = BUF(y)
+};
+
+/// y = AND(a, b) and z = OR(a, b) as outputs (y, z); w = BUF(y) is always
+/// built, and marked an output only by `duplicate_y`.
+Circuit variant_netlist(const std::string& name, NetlistVariant v = {}) {
+  CircuitBuilder b(name);
+  GateId a = b.add_input(v.swap_inputs ? "b" : "a");
+  GateId c = b.add_input(v.swap_inputs ? "a" : "b");
+  if (v.swap_inputs) std::swap(a, c);
+  const GateId y =
+      b.add_gate(v.y_type, "y",
+                 v.swap_fanins ? std::vector<GateId>{c, a}
+                               : std::vector<GateId>{a, c});
+  const GateId z = b.add_gate(GateType::kOr, "z", {a, c});
+  const GateId w = b.add_gate(GateType::kBuf, "w", {y});
+  b.mark_output(v.swap_outputs ? z : y);
+  b.mark_output(v.swap_outputs ? y : z);
+  if (v.duplicate_y) b.mark_output(w);
+  return b.build();
+}
+
+TEST(Circuit, SameNetlistComparesStructureNotName) {
+  const Circuit base = variant_netlist("base");
+  EXPECT_TRUE(same_netlist(base, base));
+  EXPECT_TRUE(same_netlist(base, variant_netlist("renamed")));
+  EXPECT_FALSE(same_netlist(base, variant_netlist("t", {.y_type = GateType::kNand})));
+  EXPECT_FALSE(same_netlist(base, variant_netlist("f", {.swap_fanins = true})));
+  EXPECT_FALSE(same_netlist(base, variant_netlist("i", {.swap_inputs = true})));
+  EXPECT_FALSE(same_netlist(base, variant_netlist("o", {.swap_outputs = true})));
+  const Circuit duplicated = variant_netlist("d", {.duplicate_y = true});
+  EXPECT_FALSE(same_netlist(base, duplicated));
+  EXPECT_FALSE(same_netlist(duplicated, base));
+}
 
 TEST(LineModel, PaperExampleLineNumbering) {
   // The paper's Figure 1 labels: 1-4 inputs, 5,6 branches of input 2,

@@ -5,6 +5,7 @@
 #include "core/partition.hpp"
 #include "netlist/library.hpp"
 #include "sim/exhaustive.hpp"
+#include "test_util.hpp"
 #include "util/check.hpp"
 
 namespace ndet {
@@ -50,22 +51,7 @@ TEST(InputSupport, ComputesStructuralSupport) {
   EXPECT_EQ(input_support(c, {*c.find("9"), *c.find("10")}).size(), 3u);
 }
 
-/// Three disjoint majority voters: each output depends on its own three
-/// inputs, so cones partition cleanly.
-Circuit tri_majority() {
-  CircuitBuilder b("tri_majority");
-  for (int block = 0; block < 3; ++block) {
-    const std::string s = std::to_string(block);
-    const GateId x = b.add_input("x" + s);
-    const GateId y = b.add_input("y" + s);
-    const GateId z = b.add_input("z" + s);
-    const GateId xy = b.add_gate(GateType::kAnd, "xy" + s, {x, y});
-    const GateId yz = b.add_gate(GateType::kAnd, "yz" + s, {y, z});
-    const GateId xz = b.add_gate(GateType::kAnd, "xz" + s, {x, z});
-    b.mark_output(b.add_gate(GateType::kOr, "m" + s, {xy, yz, xz}));
-  }
-  return b.build();
-}
+using testing::tri_majority;
 
 TEST(Partition, GroupsOutputsWithinBudget) {
   const Circuit c = tri_majority();  // 9 inputs, three 3-input cones

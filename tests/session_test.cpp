@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -159,6 +161,121 @@ TEST(AnalysisSession, PartitionedMatchesDirectCall) {
   }
   EXPECT_EQ(&session.partitioned(7), &reports);
   EXPECT_EQ(session.stats().partitioned_hits, 1u);
+}
+
+std::string cones_json(const std::vector<ConeReport>& reports) {
+  std::string json = "[";
+  for (const ConeReport& report : reports) {
+    if (json.size() > 1) json += ",";
+    json += to_json(report);
+  }
+  return json + "]";
+}
+
+/// Structure mode with the whole circuit's input count as the budget (the
+/// perf harness's request).
+PartitionOptions structure_partition(const Circuit& circuit) {
+  return {.max_inputs = circuit.input_count(), .by_structure = true};
+}
+
+TEST(AnalysisSession, PartitionedReusesWholeCircuitAnalysis) {
+  const ThreadPool serial(1);
+  struct Case {
+    Circuit circuit;
+    PartitionOptions request;
+    int session_max_inputs;
+    std::size_t reused;  ///< expected partitioned_reused after the call
+  };
+  const Circuit dk27 = fsm_benchmark_circuit("dk27");
+  const Circuit mc = fsm_benchmark_circuit("mc");
+  const Circuit lion = fsm_benchmark_circuit("lion");
+  const Circuit tav = fsm_benchmark_circuit("tav");
+  const std::vector<Case> cases = {
+      // Whole-circuit cones: answered from the session's memo.
+      {dk27, structure_partition(dk27), 20, 1},
+      {mc, structure_partition(mc), 20, 1},
+      {ripple_adder(3), {.max_inputs = 7}, 20, 1},
+      // Dead gates and an unused input: the cone differs from the circuit.
+      {lion, structure_partition(lion), 20, 0},
+      {tav, structure_partition(tav), 20, 0},
+      // Several cones.
+      {testing::tri_majority(), {.max_inputs = 3}, 20, 0},
+      // The session could not build its own database: fall back.
+      {dk27, structure_partition(dk27),
+       static_cast<int>(dk27.input_count()) - 1, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.circuit.name() + " max_inputs=" +
+                 std::to_string(c.session_max_inputs));
+    const std::string direct =
+        cones_json(partitioned_worst_case(c.circuit, c.request, serial));
+    for (const SetRepresentation representation :
+         {SetRepresentation::kAdaptive, SetRepresentation::kDense,
+          SetRepresentation::kSparse}) {
+      AnalysisSession session(c.circuit,
+                              {.max_inputs = c.session_max_inputs,
+                               .num_threads = 1,
+                               .representation = representation});
+      EXPECT_EQ(cones_json(session.partitioned(c.request)), direct);
+      const SessionStats stats = session.stats();
+      EXPECT_EQ(stats.partitioned_reused, c.reused);
+      EXPECT_NE(to_json(stats).find("\"partitioned_reused\":" +
+                                    std::to_string(c.reused)),
+                std::string::npos);
+      if (c.reused == 0) {
+        // No session database was built on the cone path.
+        EXPECT_EQ(stats.set_memory_bytes, 0u);
+        EXPECT_EQ(stats.db_seconds, 0.0);
+      }
+    }
+  }
+
+  // The reused analysis is the session's own memo: worst_case() after
+  // partitioned() is a hit, and the build time is charged once, to the db
+  // and worst-case stages.
+  AnalysisSession fresh(dk27, {.num_threads = 1});
+  const auto start = std::chrono::steady_clock::now();
+  const auto& reports = fresh.partitioned(structure_partition(dk27));
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports.front().untargeted_faults, fresh.db().untargeted().size());
+  (void)fresh.worst_case();
+  SessionStats stats = fresh.stats();
+  EXPECT_EQ(stats.worst_case_hits, 1u);
+  EXPECT_EQ(stats.db_hits, 1u);
+  EXPECT_EQ(stats.partitioned_reused, 1u);
+  EXPECT_GT(stats.db_seconds, 0.0);
+  EXPECT_GT(stats.worst_case_seconds, 0.0);
+  EXPECT_GE(stats.partitioned_seconds, 0.0);
+  // Additive: the three stage times are disjoint parts of the one call.
+  EXPECT_LE(stats.db_seconds + stats.worst_case_seconds +
+                stats.partitioned_seconds,
+            wall);
+  // A memo hit on the request is not a second reuse.
+  EXPECT_EQ(&fresh.partitioned(structure_partition(dk27)), &reports);
+  stats = fresh.stats();
+  EXPECT_EQ(stats.partitioned_hits, 1u);
+  EXPECT_EQ(stats.partitioned_reused, 1u);
+
+  // A token fired before the call aborts both paths in stage "partitioned".
+  for (const char* name : {"dk27", "lion"}) {
+    SCOPED_TRACE(name);
+    auto token = std::make_shared<CancelToken>();
+    AnalysisSession session(fsm_benchmark_circuit(name),
+                            {.num_threads = 1, .cancel_token = token});
+    token->cancel();
+    try {
+      (void)session.partitioned(structure_partition(session.circuit()));
+      FAIL() << "expected Error";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kCancelled);
+      EXPECT_EQ(e.stage(), "partitioned");
+    }
+    EXPECT_EQ(session.stats().aborted_stage, "partitioned");
+    EXPECT_EQ(session.stats().partitioned_reused, 0u);
+  }
 }
 
 TEST(RunBatch, MatchesPerCircuitSerialRuns) {

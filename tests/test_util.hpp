@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/detection_db.hpp"
 #include "faults/stuck_at.hpp"
+#include "netlist/circuit.hpp"
 #include "netlist/lines.hpp"
 #include "util/bitset.hpp"
 #include "util/detection_set.hpp"
@@ -28,6 +30,23 @@ class ScopedSimdLevel {
  private:
   simd::Level saved_;
 };
+
+/// Three disjoint majority voters: each output depends on its own three
+/// inputs, so cones partition cleanly (9 inputs, three 3-input cones).
+inline Circuit tri_majority() {
+  CircuitBuilder b("tri_majority");
+  for (int block = 0; block < 3; ++block) {
+    const std::string s = std::to_string(block);
+    const GateId x = b.add_input("x" + s);
+    const GateId y = b.add_input("y" + s);
+    const GateId z = b.add_input("z" + s);
+    const GateId xy = b.add_gate(GateType::kAnd, "xy" + s, {x, y});
+    const GateId yz = b.add_gate(GateType::kAnd, "yz" + s, {y, z});
+    const GateId xz = b.add_gate(GateType::kAnd, "xz" + s, {x, z});
+    b.mark_output(b.add_gate(GateType::kOr, "m" + s, {xy, yz, xz}));
+  }
+  return b.build();
+}
 
 /// Materializes a Bitset as a sorted vector of element ids.
 inline std::vector<std::uint64_t> to_vector(const Bitset& set) {
