@@ -20,7 +20,6 @@
 #include "core/worst_case.hpp"
 #include "faults/stuck_at.hpp"
 #include "fsm/benchmarks.hpp"
-#include "netlist/reach.hpp"
 #include "sim/batch_fault_sim.hpp"
 #include "sim/exhaustive.hpp"
 #include "sim/fault_sim.hpp"
@@ -111,8 +110,7 @@ void BM_BridgingDetectionSets(benchmark::State& state) {
   const LineModel lines(c);
   const ExhaustiveSimulator sim(c);
   const BatchFaultSimulator fsim(sim, lines, {.num_threads = 1});
-  const ReachMatrix reach(c);
-  const auto faults = enumerate_four_way_bridging(c, reach);
+  const auto faults = enumerate_four_way_bridging(c);
   for (auto _ : state) {
     std::size_t detectable = 0;
     for (const Bitset& set : fsim.detection_sets(faults))
@@ -133,9 +131,8 @@ void BM_AllDetectionSetsReference(benchmark::State& state) {
   const Circuit& c = bench_circuit();
   const LineModel lines(c);
   const ExhaustiveSimulator sim(c);
-  const ReachMatrix reach(c);
   const auto stuck = collapse_stuck_at_faults(lines);
-  const auto bridges = enumerate_four_way_bridging(c, reach);
+  const auto bridges = enumerate_four_way_bridging(c);
   for (auto _ : state) {
     const FaultSimulator fsim(sim, lines);
     const auto stuck_sets = fsim.detection_sets(stuck);
@@ -151,9 +148,8 @@ void BM_AllDetectionSetsBatched(benchmark::State& state) {
   const Circuit& c = bench_circuit();
   const LineModel lines(c);
   const ExhaustiveSimulator sim(c);
-  const ReachMatrix reach(c);
   const auto stuck = collapse_stuck_at_faults(lines);
-  const auto bridges = enumerate_four_way_bridging(c, reach);
+  const auto bridges = enumerate_four_way_bridging(c);
   BatchFaultSimOptions options;
   options.num_threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {

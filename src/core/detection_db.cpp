@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "netlist/reach.hpp"
 #include "sim/batch_fault_sim.hpp"
 #include "sim/exhaustive.hpp"
 #include "util/fault_inject.hpp"
@@ -45,9 +44,8 @@ DetectionDb DetectionDb::build(const Circuit& circuit,
 
   // G: four-way bridging faults, keeping only the detectable ones.
   check_cancel(cancel, "detection_db");
-  const ReachMatrix reach(*db.circuit_);
   const std::vector<BridgingFault> enumerated =
-      enumerate_four_way_bridging(*db.circuit_, reach);
+      enumerate_four_way_bridging(*db.circuit_);
   db.enumerated_untargeted_ = enumerated.size();
   std::vector<Bitset> enumerated_sets =
       simulator.detection_sets(enumerated, cancel);

@@ -9,17 +9,18 @@
 // Following the paper's experiments, bridging sites are the *outputs of
 // multi-input gates*, and only *non-feedback* pairs (no structural path
 // between the two gates in either direction) are enumerated, which keeps the
-// faulty circuit combinational.  Detectability filtering (keeping faults
-// with T(g) != {}) is performed downstream once detection sets are computed.
+// faulty circuit combinational.  The enumeration decides that itself: gate
+// ids are a topological order, so for sites x < y only a path from x to y
+// is possible, and one fanout-cone walk per site answers every later pair.
+// Detectability filtering (keeping faults with T(g) != {}) is performed
+// downstream once detection sets are computed.
 
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "netlist/circuit.hpp"
-#include "netlist/reach.hpp"
 
 namespace ndet {
 
@@ -42,11 +43,6 @@ std::string to_string(const BridgingFault& fault, const Circuit& circuit);
 /// second gate id); within a pair the order is (x,0,y,1), (x,1,y,0),
 /// (y,0,x,1), (y,1,x,0) -- the ordering that reproduces the paper's g0 and
 /// g6 on the Figure-1 example.
-std::vector<BridgingFault> enumerate_four_way_bridging(
-    const Circuit& circuit, const ReachMatrix& reach);
-
-/// Number of non-feedback site pairs (|enumerate|/4).
-std::size_t bridging_pair_count(const Circuit& circuit,
-                                const ReachMatrix& reach);
+std::vector<BridgingFault> enumerate_four_way_bridging(const Circuit& circuit);
 
 }  // namespace ndet

@@ -54,6 +54,7 @@ std::vector<std::string> split_args(const std::string& args, int line) {
 Circuit parse_bench(const std::string& text, const std::string& name) {
   std::vector<std::string> input_order;
   std::vector<std::string> output_order;
+  std::vector<int> output_lines;  // declaration line of each output_order[i]
   std::map<std::string, RawGate> defs;
 
   std::istringstream stream(text);
@@ -91,6 +92,7 @@ Circuit parse_bench(const std::string& text, const std::string& name) {
             output_order.end())
           fail(line_number, "OUTPUT '" + signal + "' declared twice");
         output_order.push_back(signal);
+        output_lines.push_back(line_number);
       } else {
         fail(line_number, "unknown directive '" + head + "'");
       }
@@ -128,8 +130,10 @@ Circuit parse_bench(const std::string& text, const std::string& name) {
   CircuitBuilder builder(name);
   std::map<std::string, GateId> ids;
   for (const auto& in : input_order) {
-    require(!defs.contains(in),
-            ".bench: signal '" + in + "' is both INPUT and gate output");
+    const auto def = defs.find(in);
+    if (def != defs.end())
+      fail(def->second.line_number,
+           "signal '" + in + "' is both INPUT and gate output");
     require(!ids.contains(in), ".bench: INPUT '" + in + "' declared twice");
     ids.emplace(in, builder.add_input(in));
   }
@@ -146,37 +150,40 @@ Circuit parse_bench(const std::string& text, const std::string& name) {
         stack.pop_back();
         continue;
       }
-      const auto def = defs.find(current);
-      if (def == defs.end())
-        throw contract_error(".bench: signal '" + current + "' in " + name +
-                             " is used but never defined");
+      // Only defined signals are pushed: visit() starts from a definition
+      // and every child is checked below.
+      const RawGate& def = defs.at(current);
       if (next_child == 0) {
         if (marks[current] == Mark::kGray)
-          throw contract_error(".bench: combinational cycle through '" +
-                               current + "' in " + name);
+          fail(def.line_number,
+               "combinational cycle through '" + current + "' in " + name);
         marks[current] = Mark::kGray;
       }
-      if (next_child < def->second.fanins.size()) {
+      if (next_child < def.fanins.size()) {
         stack.back().second = next_child + 1;
-        const std::string& child = def->second.fanins[next_child];
-        if (!ids.contains(child)) stack.emplace_back(child, 0);
+        const std::string& child = def.fanins[next_child];
+        if (ids.contains(child)) continue;
+        if (!defs.contains(child))
+          fail(def.line_number, "signal '" + child + "' in " + name +
+                                    " is used but never defined");
+        stack.emplace_back(child, 0);
         continue;
       }
       std::vector<GateId> fanin_ids;
-      fanin_ids.reserve(def->second.fanins.size());
-      for (const auto& fi : def->second.fanins) fanin_ids.push_back(ids.at(fi));
-      ids.emplace(current, builder.add_gate(def->second.type, current, fanin_ids));
+      fanin_ids.reserve(def.fanins.size());
+      for (const auto& fi : def.fanins) fanin_ids.push_back(ids.at(fi));
+      ids.emplace(current, builder.add_gate(def.type, current, fanin_ids));
       marks[current] = Mark::kBlack;
       stack.pop_back();
     }
   };
 
   for (const auto& [signal, def] : defs) { (void)def; visit(signal); }
-  for (const auto& out : output_order) {
-    const auto it = ids.find(out);
+  for (std::size_t i = 0; i < output_order.size(); ++i) {
+    const auto it = ids.find(output_order[i]);
     if (it == ids.end())
-      throw contract_error(".bench: OUTPUT '" + out + "' in " + name +
-                           " is never defined");
+      fail(output_lines[i], "OUTPUT '" + output_order[i] + "' in " + name +
+                                " is never defined");
     builder.mark_output(it->second);
   }
   return builder.build();

@@ -1,36 +1,26 @@
 // graph.hpp -- the netlist graph core: one directed-graph layer under every
 // structural query.
 //
-// Before this layer existed the repo answered fanin/fanout questions with
-// four independent ad-hoc traversals (a dense transitive-closure matrix, a
-// per-call BFS in sim/cone, a private fanin walk in core/partition and a CSR
-// cone precompute inside the batch simulator).  NetlistGraph replaces them
-// with one immutable structure built once per circuit:
+// NetlistGraph is one immutable structure built once per circuit:
 //
 //   * CSR adjacency in both directions (forward = fanouts, reverse =
 //     fanins): two offset arrays plus two flattened edge arrays, so every
 //     traversal is a cache-friendly array scan instead of pointer chasing
 //     through per-gate vectors;
-//   * iterator-based traversals (DepthFirstSearch / BreadthFirstSearch are
-//     lazy ranges over discovered nodes) plus a visitor hook for callers
-//     that need edge events;
-//   * topological order with cycle reporting (topological_order /
-//     CycleDetector) -- Circuit-built graphs are acyclic by construction,
-//     but the layer also accepts raw edge lists so sequential loops
-//     (next-state feeding present-state) can be analyzed and reported;
-//   * pairwise reachability without materializing the closure (PathFinder,
-//     with a path witness), and cone queries (ConeQuery for reusable
-//     scratch, ConeIndex for the all-roots CSR table the batch simulator
-//     uses) -- both return gates in ascending id order, which on
-//     Circuit-built graphs is topological order;
+//   * cone queries (ConeQuery for reusable scratch, ConeIndex for the
+//     all-roots CSR table the batch simulator uses) -- both return gates in
+//     ascending id order, which is topological order because CircuitBuilder
+//     gives every fanin a smaller id than its sink;
 //   * DOT export with per-gate labels and optional subgraph restriction
 //     (whole circuit or one cone), the visual artifact behind the report
 //     CLIs' --dot= flag.
 //
-// The layer is read-only after construction and safe to share across
-// threads; the query objects (PathFinder, ConeQuery) own mutable scratch and
-// are therefore one-per-thread, mirroring the scratch-arena discipline of
-// the simulators.  See DESIGN.md "Netlist graph core".
+// Its consumers are partitioning, the fault simulators, bridging-fault
+// enumeration (the non-feedback test) and the report CLIs.  The layer is
+// read-only after construction and safe to share across threads; ConeQuery
+// owns mutable scratch and is therefore one-per-thread, mirroring the
+// scratch-arena discipline of the simulators.  See DESIGN.md "Netlist graph
+// core".
 
 #pragma once
 
@@ -38,7 +28,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "netlist/circuit.hpp"
@@ -56,18 +45,12 @@ class NetlistGraph {
   /// (node labels and output flags are read through it on demand).
   explicit NetlistGraph(const Circuit& circuit);
 
-  /// Builds a graph from a raw edge list (parallel edges are kept, matching
-  /// a gate that uses the same signal on two pins).  Raw graphs may contain
-  /// cycles -- this is the constructor sequential-loop analyses use.
-  NetlistGraph(std::size_t node_count,
-               std::span<const std::pair<GateId, GateId>> edges);
-
   std::size_t node_count() const { return node_count_; }
   std::size_t edge_count() const { return forward_storage_.size(); }
 
   /// Gates fed by `node` (its fanouts), ascending.
   std::span<const GateId> successors(GateId node) const;
-  /// Gates feeding `node` (its fanins), in pin order for circuit graphs.
+  /// Gates feeding `node` (its fanins), in pin order.
   std::span<const GateId> predecessors(GateId node) const;
 
   /// Neighbors along `dir`.
@@ -75,13 +58,11 @@ class NetlistGraph {
     return dir == Direction::kForward ? successors(node) : predecessors(node);
   }
 
-  /// The circuit this graph was built from; nullptr for raw-edge graphs.
-  const Circuit* circuit() const { return circuit_; }
+  /// The circuit this graph was built from.
+  const Circuit& circuit() const { return *circuit_; }
 
  private:
-  void build_csr(std::span<const std::pair<GateId, GateId>> edges);
-
-  const Circuit* circuit_ = nullptr;
+  const Circuit* circuit_;
   std::size_t node_count_ = 0;
   std::vector<std::uint32_t> forward_offsets_;  ///< node_count + 1 entries
   std::vector<GateId> forward_storage_;
@@ -89,138 +70,9 @@ class NetlistGraph {
   std::vector<GateId> reverse_storage_;
 };
 
-/// Lazy iterator-based depth-first traversal from one root.  Nodes are
-/// produced in DFS preorder; each node appears once.  The range owns its
-/// visited set, so it is single-pass (begin() may be called once).
-class DepthFirstSearch {
- public:
-  DepthFirstSearch(const NetlistGraph& graph, GateId root,
-                   Direction dir = Direction::kForward);
-
-  class iterator {
-   public:
-    using value_type = GateId;
-    GateId operator*() const { return search_->current_; }
-    iterator& operator++() {
-      search_->advance();
-      return *this;
-    }
-    bool operator!=(std::nullptr_t) const { return !search_->done_; }
-
-   private:
-    friend class DepthFirstSearch;
-    explicit iterator(DepthFirstSearch* search) : search_(search) {}
-    DepthFirstSearch* search_;
-  };
-
-  iterator begin() { return iterator(this); }
-  std::nullptr_t end() { return nullptr; }
-
- private:
-  friend class iterator;
-  void advance();
-
-  const NetlistGraph* graph_;
-  Direction dir_;
-  std::vector<GateId> stack_;
-  std::vector<bool> seen_;
-  GateId current_ = kInvalidGate;
-  bool done_ = false;
-};
-
-/// Lazy iterator-based breadth-first traversal from one root.  Nodes are
-/// produced in BFS level order; each node appears once.  Single-pass, like
-/// DepthFirstSearch.
-class BreadthFirstSearch {
- public:
-  BreadthFirstSearch(const NetlistGraph& graph, GateId root,
-                     Direction dir = Direction::kForward);
-
-  class iterator {
-   public:
-    using value_type = GateId;
-    GateId operator*() const { return search_->queue_[search_->head_]; }
-    iterator& operator++() {
-      search_->advance();
-      return *this;
-    }
-    bool operator!=(std::nullptr_t) const {
-      return search_->head_ < search_->queue_.size();
-    }
-
-   private:
-    friend class BreadthFirstSearch;
-    explicit iterator(BreadthFirstSearch* search) : search_(search) {}
-    BreadthFirstSearch* search_;
-  };
-
-  iterator begin() { return iterator(this); }
-  std::nullptr_t end() { return nullptr; }
-
- private:
-  friend class iterator;
-  void advance();
-
-  const NetlistGraph* graph_;
-  Direction dir_;
-  std::vector<GateId> queue_;  ///< discovered nodes; head_ indexes the front
-  std::size_t head_ = 0;
-  std::vector<bool> seen_;
-};
-
-/// Result of a topological sort attempt.
-struct TopoResult {
-  /// A valid topological order when `cycle` is empty; among all valid
-  /// orders the lexicographically smallest one, so on Circuit-built graphs
-  /// (ids already topological) the order is exactly 0,1,...,n-1.
-  std::vector<GateId> order;
-  /// Empty for acyclic graphs; otherwise the nodes of one witness cycle in
-  /// traversal order (closing edge cycle.back() -> cycle.front()).
-  std::vector<GateId> cycle;
-
-  bool is_acyclic() const { return cycle.empty(); }
-};
-
-/// Kahn's algorithm with a min-heap frontier; reports a witness cycle for
-/// sequential loops instead of silently dropping nodes.
-TopoResult topological_order(const NetlistGraph& graph);
-
-/// Finds one directed cycle: the nodes of the cycle in order, or an empty
-/// vector when the graph is acyclic.
-class CycleDetector {
- public:
-  explicit CycleDetector(const NetlistGraph& graph) : graph_(&graph) {}
-  std::vector<GateId> find_cycle() const;
-
- private:
-  const NetlistGraph* graph_;
-};
-
-/// Pairwise reachability without materializing the transitive closure: one
-/// bounded DFS per query, with epoch-stamped scratch reused across queries.
-/// One instance per thread (the scratch is mutable state).
-class PathFinder {
- public:
-  explicit PathFinder(const NetlistGraph& graph);
-
-  /// True when a directed path of length >= 1 exists from `from` to `to`.
-  bool path_exists(GateId from, GateId to);
-
-  /// The gates of one such path, from `from` to `to` inclusive; empty when
-  /// no path exists.  A self-loop query (from == to) requires a real cycle.
-  std::vector<GateId> find_path(GateId from, GateId to);
-
- private:
-  const NetlistGraph* graph_;
-  std::vector<std::uint32_t> seen_;    ///< epoch stamps, by node
-  std::vector<GateId> parent_;
-  std::vector<GateId> stack_;
-  std::uint32_t epoch_ = 0;
-};
-
 /// Cone queries with caller-owned scratch: fanout(root) is root plus its
 /// transitive fanout, fanin(roots) the roots plus their transitive fanin,
-/// both in ascending id order (topological order on circuit graphs).  The
+/// both in ascending id order (= topological order).  The
 /// returned span aliases internal storage and is valid until the next
 /// query.  One instance per thread.
 class ConeQuery {
@@ -242,16 +94,13 @@ class ConeQuery {
   std::uint32_t epoch_ = 0;
 };
 
-/// Allocating conveniences over ConeQuery (one-shot callers).
+/// Allocating convenience over ConeQuery (one-shot callers).
 std::vector<GateId> fanout_cone(const NetlistGraph& graph, GateId root);
-std::vector<GateId> fanin_cone(const NetlistGraph& graph,
-                               std::span<const GateId> roots);
 
 /// Precomputed fanout cones of EVERY gate in CSR form: one offsets array
 /// plus one flattened gate array, and the same for the primary outputs
 /// inside each cone.  This is the structure the batch fault simulator
-/// starts every fault from (two array lookups instead of a DFS); it
-/// requires a circuit-built graph (output flags come from the circuit).
+/// starts every fault from (two array lookups instead of a DFS).
 class ConeIndex {
  public:
   explicit ConeIndex(const NetlistGraph& graph);
@@ -271,7 +120,7 @@ class ConeIndex {
 
 /// DOT export options.
 struct DotOptions {
-  /// Graph name; empty picks the circuit name (or "netlist").
+  /// Graph name; empty picks the circuit name.
   std::string name;
   /// When non-empty, only these gates (and edges between them) are
   /// rendered -- the per-cone subgraph mode of partition_analysis.
@@ -281,8 +130,7 @@ struct DotOptions {
 /// Renders the graph as a DOT digraph: a header comment carrying the node
 /// and edge counts (machine-checkable by CI), exactly one node line per
 /// rendered gate (label = name plus gate type, inputs as boxes, primary
-/// outputs double-circled) and one line per edge.  Works for raw graphs
-/// too (labels fall back to node ids).
+/// outputs double-circled) and one line per edge.
 std::string to_dot(const NetlistGraph& graph, const DotOptions& options = {});
 
 /// Writes to_dot(...) to `path`; throws contract_error on I/O failure.

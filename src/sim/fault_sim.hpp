@@ -55,11 +55,6 @@ class FaultSimulator {
   std::vector<Bitset> detection_sets(std::span<const StuckAtFault> faults) const;
   std::vector<Bitset> detection_sets(std::span<const BridgingFault> faults) const;
 
-  /// Gates to resimulate when `root`'s output value changes: root plus its
-  /// transitive fanout, in ascending (topological) order.  Exposed because
-  /// the ternary simulator of Definition 2 shares it.
-  std::vector<GateId> affected_gates(GateId root) const;
-
  private:
   /// Core resimulation.  `start` is the first affected gate.  When `forced`
   /// is non-null the start gate's output is `forced(w)` instead of being

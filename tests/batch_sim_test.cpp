@@ -22,7 +22,6 @@
 #include "fsm/benchmarks.hpp"
 #include "netlist/library.hpp"
 #include "netlist/graph.hpp"
-#include "netlist/reach.hpp"
 #include "sim/batch_fault_sim.hpp"
 #include "sim/exhaustive.hpp"
 #include "sim/fault_sim.hpp"
@@ -133,9 +132,8 @@ TEST(BatchFaultSim, CrossValidatesAgainstReferenceOnFsmSuite) {
     expect_identical_sets(reference.detection_sets(targets),
                           batched.detection_sets(targets), name, "stuck-at");
 
-    const ReachMatrix reach(circuit);
     const std::vector<BridgingFault> bridges =
-        enumerate_four_way_bridging(circuit, reach);
+        enumerate_four_way_bridging(circuit);
     expect_identical_sets(reference.detection_sets(bridges),
                           batched.detection_sets(bridges), name, "bridging");
   }
@@ -167,9 +165,8 @@ TEST(BatchFaultSim, FactoredSetsMatchPerFaultInjection) {
   for (const auto& [name, circuit] : circuits) {
     const LineModel lines(circuit);
     const ExhaustiveSimulator good(circuit);
-    const ReachMatrix reach(circuit);
     expect_matches_reference(good, lines, all_stuck_at_faults(lines),
-                             enumerate_four_way_bridging(circuit, reach),
+                             enumerate_four_way_bridging(circuit),
                              name);
   }
 
@@ -204,9 +201,8 @@ TEST(BatchFaultSim, FactoredSetsMatchPerFaultInjection) {
     mixed.push_back(StuckAtFault{l, false});
     mixed.push_back(StuckAtFault{l, true});
   }
-  const ReachMatrix lion_reach(lion);
   const std::vector<BridgingFault> lion_bridges =
-      enumerate_four_way_bridging(lion, lion_reach);
+      enumerate_four_way_bridging(lion);
   std::vector<BridgingFault> mixed_bridges;
   for (std::size_t i = 0; i < lion_bridges.size(); i += 5) {
     mixed_bridges.push_back(lion_bridges[lion_bridges.size() - 1 - i]);
@@ -226,9 +222,8 @@ TEST(BatchFaultSim, FactoredSetsMatchPerFaultInjection) {
   const ExhaustiveSimulator s8_good(s8, vectors);
   ASSERT_EQ(s8_good.word_count(), 2u);
   ASSERT_NE(s8_good.vector_count() % 64, 0u);
-  const ReachMatrix s8_reach(s8);
   expect_matches_reference(s8_good, s8_lines, all_stuck_at_faults(s8_lines),
-                           enumerate_four_way_bridging(s8, s8_reach),
+                           enumerate_four_way_bridging(s8),
                            "s8 list mode");
 }
 
@@ -237,9 +232,8 @@ TEST(BatchFaultSim, DeterministicAcrossThreadCounts) {
   const LineModel lines(circuit);
   const ExhaustiveSimulator good(circuit);
   const std::vector<StuckAtFault> targets = collapse_stuck_at_faults(lines);
-  const ReachMatrix reach(circuit);
   const std::vector<BridgingFault> bridges =
-      enumerate_four_way_bridging(circuit, reach);
+      enumerate_four_way_bridging(circuit);
   // Small batches: every bridge on one victim (one site, many faults) and
   // the stuck-at faults of three lines (three sites) -- fewer sites than
   // the wider pools have workers.
@@ -281,9 +275,8 @@ TEST(BatchFaultSim, CancelledTokenRaisesFaultSimError) {
   const Circuit circuit = fsm_benchmark_circuit("dk16");
   const LineModel lines(circuit);
   const ExhaustiveSimulator good(circuit);
-  const ReachMatrix reach(circuit);
   const std::vector<BridgingFault> bridges =
-      enumerate_four_way_bridging(circuit, reach);
+      enumerate_four_way_bridging(circuit);
   const std::vector<StuckAtFault> targets = collapse_stuck_at_faults(lines);
 
   for (const unsigned threads : {1u, 2u}) {

@@ -1,5 +1,6 @@
 // netlist_test.cpp -- circuit construction, line model, .bench I/O,
-// reachability, generator and embedded library.
+// reachability (as the non-feedback test of bridging enumeration), generator
+// and embedded library.
 
 #include <gtest/gtest.h>
 
@@ -7,12 +8,12 @@
 #include <utility>
 #include <vector>
 
+#include "faults/bridging.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/circuit.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/library.hpp"
 #include "netlist/lines.hpp"
-#include "netlist/reach.hpp"
 #include "netlist/stats.hpp"
 #include "util/check.hpp"
 
@@ -244,15 +245,38 @@ TEST(BenchIo, RejectsSequentialElements) {
   EXPECT_THROW((void)parse_bench(text, "seq"), contract_error);
 }
 
+/// Parses `text`, expecting Error{kInvalidInput} whose message carries
+/// `fragment`: the offending line number plus a diagnostic.
+void expect_bench_error(const std::string& text, const std::string& fragment) {
+  try {
+    (void)parse_bench(text, "bad");
+    FAIL() << "expected a parse error containing '" << fragment << "'";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kInvalidInput);
+    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+        << "message '" << e.what() << "' lacks '" << fragment << "'";
+  }
+}
+
 TEST(BenchIo, RejectsUndefinedSignals) {
-  const std::string text = "INPUT(a)\nOUTPUT(z)\nz = NOT(ghost)\n";
-  EXPECT_THROW((void)parse_bench(text, "ghost"), contract_error);
+  // The line is the gate that uses the undefined signal.
+  expect_bench_error("INPUT(a)\nOUTPUT(z)\nz = NOT(ghost)\n",
+                     "line 3: signal 'ghost'");
+  expect_bench_error(
+      "INPUT(a)\nOUTPUT(z)\n\nz = AND(a, m)\nm = OR(a, ghost)\n",
+      "line 5: signal 'ghost'");
+  // An OUTPUT nothing drives names its declaration line.
+  expect_bench_error("INPUT(a)\nOUTPUT(z)\nOUTPUT(w)\nz = NOT(a)\n",
+                     "line 3: OUTPUT 'w'");
 }
 
 TEST(BenchIo, RejectsCycles) {
-  const std::string text =
-      "INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = BUF(x)\n";
-  EXPECT_THROW((void)parse_bench(text, "cycle"), contract_error);
+  // The line is the definition of the gate the cycle closes on.
+  expect_bench_error("INPUT(a)\nOUTPUT(x)\nx = AND(a, y)\ny = BUF(x)\n",
+                     "line 3: combinational cycle through 'x'");
+  expect_bench_error("INPUT(a)\nOUTPUT(z)\nz = NOT(p)\np = AND(a, q)\n"
+                     "q = BUF(p)\n",
+                     "line 4: combinational cycle through 'p'");
 }
 
 TEST(BenchIo, RejectsDuplicateDefinitions) {
@@ -262,8 +286,6 @@ TEST(BenchIo, RejectsDuplicateDefinitions) {
 }
 
 TEST(BenchIo, MalformedFixtureTable) {
-  // Each fixture must raise Error{kInvalidInput} whose message carries the
-  // offending line number plus a diagnostic fragment.
   struct Fixture {
     const char* label;
     const char* text;
@@ -281,18 +303,11 @@ TEST(BenchIo, MalformedFixtureTable) {
       {"unknown_gate", "INPUT(a)\nOUTPUT(z)\nz = FROB(a)\n",
        "line 3: unknown gate type 'FROB'"},
       {"input_and_gate", "INPUT(a)\nINPUT(z)\nOUTPUT(z)\nz = NOT(a)\n",
-       "both INPUT and gate output"},
+       "line 4: signal 'z' is both INPUT and gate output"},
   };
   for (const Fixture& f : fixtures) {
-    try {
-      (void)parse_bench(f.text, f.label);
-      FAIL() << f.label << ": expected a parse error";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.kind(), ErrorKind::kInvalidInput) << f.label;
-      EXPECT_NE(std::string(e.what()).find(f.fragment), std::string::npos)
-          << f.label << ": message '" << e.what() << "' lacks '" << f.fragment
-          << "'";
-    }
+    SCOPED_TRACE(f.label);
+    expect_bench_error(f.text, f.fragment);
   }
 }
 
@@ -308,30 +323,35 @@ TEST(BenchIo, ErrorsCarryLineNumbers) {
 
 // --- Reachability ---------------------------------------------------------
 
+/// Number of enumerated bridging faults between the gates named `a` and
+/// `b`: 4 for a non-feedback pair, 0 when a path joins them.
+std::size_t bridges_between(const Circuit& c, const std::string& a,
+                            const std::string& b) {
+  const GateId x = *c.find(a);
+  const GateId y = *c.find(b);
+  std::size_t count = 0;
+  for (const BridgingFault& f : enumerate_four_way_bridging(c))
+    if ((f.victim == x && f.aggressor == y) ||
+        (f.victim == y && f.aggressor == x))
+      ++count;
+  return count;
+}
+
 TEST(Reach, PaperExampleIndependence) {
+  // The three multi-input gates of Figure 1 share inputs but no path.
   const Circuit c = paper_example();
-  const ReachMatrix reach(c);
-  const GateId g9 = *c.find("9");
-  const GateId g10 = *c.find("10");
-  const GateId g11 = *c.find("11");
-  EXPECT_TRUE(reach.independent(g9, g10));
-  EXPECT_TRUE(reach.independent(g9, g11));
-  EXPECT_TRUE(reach.independent(g10, g11));
-  EXPECT_TRUE(reach.reaches(*c.find("2"), g9));
-  EXPECT_TRUE(reach.reaches(*c.find("2"), g10));
-  EXPECT_FALSE(reach.reaches(*c.find("2"), g11));
-  EXPECT_FALSE(reach.reaches(g9, *c.find("2")));
+  EXPECT_EQ(bridges_between(c, "9", "10"), 4u);
+  EXPECT_EQ(bridges_between(c, "9", "11"), 4u);
+  EXPECT_EQ(bridges_between(c, "10", "11"), 4u);
 }
 
 TEST(Reach, TransitivePaths) {
   const Circuit c = c17();
-  const ReachMatrix reach(c);
-  // In c17, 11 = NAND(3,6) feeds 16 and 19, which feed 22 and 23.
-  EXPECT_TRUE(reach.reaches(*c.find("11"), *c.find("22")));
-  EXPECT_TRUE(reach.reaches(*c.find("11"), *c.find("23")));
-  EXPECT_TRUE(reach.reaches(*c.find("3"), *c.find("23")));
-  EXPECT_FALSE(reach.independent(*c.find("16"), *c.find("22")));
-  EXPECT_TRUE(reach.independent(*c.find("10"), *c.find("19")));
+  // In c17, 11 = NAND(3,6) feeds 16 and 19, which feed 22 and 23: 16 -> 22
+  // is a direct edge and 11 -> 22 a two-hop path, so neither pair bridges.
+  EXPECT_EQ(bridges_between(c, "16", "22"), 0u);
+  EXPECT_EQ(bridges_between(c, "11", "22"), 0u);
+  EXPECT_EQ(bridges_between(c, "10", "19"), 4u);
 }
 
 // --- Random generator ----------------------------------------------------

@@ -8,7 +8,6 @@
 #include "faults/stuck_at.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/library.hpp"
-#include "netlist/reach.hpp"
 #include "sim/exhaustive.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/reference.hpp"
@@ -50,8 +49,7 @@ void cross_validate(const Circuit& circuit, std::uint64_t seed) {
   }
 
   // 3. Bridging detection sets vs per-vector reference detection.
-  const ReachMatrix reach(circuit);
-  const auto bridges = enumerate_four_way_bridging(circuit, reach);
+  const auto bridges = enumerate_four_way_bridging(circuit);
   for (int trial = 0; trial < 48 && !bridges.empty(); ++trial) {
     const auto& fault = bridges[rng.below(bridges.size())];
     const std::uint64_t v = sample_vector();

@@ -5,7 +5,6 @@
 
 #include "faults/stuck_at.hpp"
 #include "netlist/library.hpp"
-#include "netlist/reach.hpp"
 #include "sim/exhaustive.hpp"
 #include "sim/fault_sim.hpp"
 #include "test_util.hpp"
@@ -204,8 +203,7 @@ TEST(BridgingSim, PaperExampleAllDetectionSets) {
   const LineModel lines(c);
   const ExhaustiveSimulator sim(c);
   const FaultSimulator fsim(sim, lines);
-  const ReachMatrix reach(c);
-  const auto faults = enumerate_four_way_bridging(c, reach);
+  const auto faults = enumerate_four_way_bridging(c);
   ASSERT_EQ(faults.size(), 12u);
 
   std::vector<std::vector<std::uint64_t>> detectable;
