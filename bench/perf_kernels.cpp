@@ -105,28 +105,46 @@ void BM_StuckAtDetectionSets(benchmark::State& state) {
 }
 BENCHMARK(BM_StuckAtDetectionSets);
 
+// Every T(g) of the factored database materialized into one row (two
+// word-ANDs over stored Obs and good-value rows) and counted: the per-member
+// cost the worst-case sweep pays before its tile pass.
 void BM_BridgingDetectionSets(benchmark::State& state) {
-  const Circuit& c = bench_circuit();
-  const LineModel lines(c);
-  const ExhaustiveSimulator sim(c);
-  const BatchFaultSimulator fsim(sim, lines, {.num_threads = 1});
-  const auto faults = enumerate_four_way_bridging(c);
+  const DetectionDb& db = bench_db();
+  const DetectionDb::UntargetedSets sets = db.untargeted_sets();
+  Bitset row(static_cast<std::size_t>(db.vector_count()));
   for (auto _ : state) {
-    std::size_t detectable = 0;
-    for (const Bitset& set : fsim.detection_sets(faults))
-      if (set.any()) ++detectable;
-    benchmark::DoNotOptimize(detectable);
+    std::size_t total = 0;
+    for (std::size_t j = 0; j < sets.size(); ++j) {
+      sets.materialize(j, {row.words(), row.word_count()});
+      total += row.count();
+    }
+    benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(faults.size()));
+                          static_cast<std::int64_t>(sets.size()));
 }
 BENCHMARK(BM_BridgingDetectionSets);
 
-// The DetectionDb::build hot path end to end: every stuck-at and every
-// bridging detection set of the circuit.  The Reference variant is the
-// per-fault baseline; the Batched variant takes a worker-pool width
-// (0 = all hardware threads), so Batched/1 isolates the per-site factoring,
-// precomputation and scratch-arena wins from the threading win.
+/// The stem of every gate some enumerated bridge names: the sites whose Obs
+/// rows DetectionDb::build stores for G.
+std::vector<LineId> bridging_sites(const LineModel& lines,
+                                   const std::vector<BridgingFault>& bridges) {
+  std::vector<bool> used(lines.circuit().gate_count(), false);
+  for (const BridgingFault& fault : bridges)
+    used[fault.victim] = used[fault.aggressor] = true;
+  std::vector<LineId> sites;
+  for (GateId g = 0; g < used.size(); ++g)
+    if (used[g]) sites.push_back(lines.stem_of(g));
+  return sites;
+}
+
+// The fault simulation behind DetectionDb::build: every stuck-at set and
+// the information for every bridging set.  The Reference variant is the
+// per-fault baseline, one injected set per fault; the Batched variant runs
+// the factored engine -- stuck-at sets plus one Obs row per bridging site,
+// from which the database derives every T(g) -- and takes a worker-pool
+// width (0 = all hardware threads), so Batched/1 isolates the per-site
+// factoring, precomputation and scratch-arena wins from the threading win.
 void BM_AllDetectionSetsReference(benchmark::State& state) {
   const Circuit& c = bench_circuit();
   const LineModel lines(c);
@@ -150,32 +168,45 @@ void BM_AllDetectionSetsBatched(benchmark::State& state) {
   const ExhaustiveSimulator sim(c);
   const auto stuck = collapse_stuck_at_faults(lines);
   const auto bridges = enumerate_four_way_bridging(c);
+  const std::vector<LineId> sites = bridging_sites(lines, bridges);
   BatchFaultSimOptions options;
   options.num_threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     const BatchFaultSimulator fsim(sim, lines, options);
     const auto stuck_sets = fsim.detection_sets(stuck);
-    const auto bridge_sets = fsim.detection_sets(bridges);
-    benchmark::DoNotOptimize(stuck_sets.size() + bridge_sets.size());
+    const auto obs_rows = fsim.observability(sites);
+    benchmark::DoNotOptimize(stuck_sets.size() + obs_rows.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(stuck.size() + bridges.size()));
 }
 BENCHMARK(BM_AllDetectionSetsBatched)->Arg(1)->Arg(0);
 
-// Argument = circuit: 0 is bbara, 1 is the bridging-heavy s1a (70k
-// four-way bridges over 8192 vectors).
+// Arguments are {circuit, threads}: circuit 0 is bbara, 1 the
+// bridging-heavy s1a (70k four-way bridges over 8192 vectors), 2 keyb and
+// 3 dk16; threads is the worker-pool width, so /1 against /4 shows whether
+// the build scales.
 void BM_DetectionDbBuild(benchmark::State& state) {
-  static const Circuit circuits[] = {bench_circuit(),
-                                     fsm_benchmark_circuit("s1a")};
+  static const Circuit circuits[] = {
+      bench_circuit(), fsm_benchmark_circuit("s1a"),
+      fsm_benchmark_circuit("keyb"), fsm_benchmark_circuit("dk16")};
   const Circuit& c = circuits[static_cast<std::size_t>(state.range(0))];
+  DetectionDbOptions options;
+  options.num_threads = static_cast<unsigned>(state.range(1));
   state.SetLabel(c.name());
   for (auto _ : state) {
-    const DetectionDb db = DetectionDb::build(c);
+    const DetectionDb db = DetectionDb::build(c, options);
     benchmark::DoNotOptimize(db.targets().size());
   }
 }
-BENCHMARK(BM_DetectionDbBuild)->Arg(0)->Arg(1);
+BENCHMARK(BM_DetectionDbBuild)
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({1, 4})
+    ->Args({2, 1})
+    ->Args({2, 4})
+    ->Args({3, 1})
+    ->Args({3, 4});
 
 // The worst-case sweep, reference flavour: serial, unpruned, over the
 // all-dense database -- the pre-refactor behaviour BM_WorstCasePruned is
@@ -200,7 +231,7 @@ BENCHMARK(BM_WorstCaseReference);
 // tile prune over the adaptive database, batches sharded across the worker
 // pool (argument = thread count, 0 = all hardware threads).  The label is
 // the SIMD dispatch level the engine ran at; db_bytes vs dense_bytes
-// exposes the representation win on this circuit.
+// exposes the storage win (factored T(g), adaptive T(f)) on this circuit.
 void BM_WorstCasePruned(benchmark::State& state) {
   const DetectionDb& db = bench_db();
   AnalysisOptions options;

@@ -75,10 +75,10 @@ int main(int argc, char** argv) {
             });
   hardest.resize(std::min<std::size_t>(hardest.size(), detail));
   for (const std::size_t j : hardest) {
-    std::printf("\n  %s  (nmin = %llu, |T(g)| = %zu)\n",
+    std::printf("\n  %s  (nmin = %llu, |T(g)| = %u)\n",
                 to_string(db.untargeted()[j], session.circuit()).c_str(),
                 static_cast<unsigned long long>(worst.nmin[j]),
-                db.untargeted_sets()[j].count());
+                db.untargeted_sets().count(j));
     auto entries = overlap_entries(db, j);
     std::sort(entries.begin(), entries.end(),
               [](const OverlapEntry& a, const OverlapEntry& b) {

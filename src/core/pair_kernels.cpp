@@ -1,6 +1,7 @@
 #include "core/pair_kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "core/worst_case.hpp"
@@ -147,27 +148,26 @@ PairKernelEngine::PairKernelEngine(std::span<const DetectionSet> target_sets,
 }
 
 PairKernelEngine::Operand PairKernelEngine::classify(
-    const DetectionSet& g, std::span<Bitset::word_type> staging_row) const {
-  require(g.universe_size() == universe_,
-          "PairKernelEngine: untargeted universe mismatch");
+    const Bitset::word_type* words, std::uint32_t size,
+    std::uint32_t* elements) const {
   Operand op;
-  op.size = static_cast<std::uint32_t>(g.count());
-  if (g.representation() == DetectionSet::Rep::kDense) {
-    op.words = g.dense_words();
+  op.size = size;
+  if (size > 0 && size >= element_threshold()) {
+    op.words = words;
     return op;
   }
-  const std::span<const std::uint32_t> elems = g.sparse_elements();
-  if (op.size > 0 && op.size >= element_threshold()) {
-    // Row-sized sparse member: scatter once into the staging row so every
-    // packed target row can be served by the word-parallel kernels.
-    std::fill(staging_row.begin(), staging_row.end(), Bitset::word_type{0});
-    for (const std::uint32_t v : elems)
-      staging_row[v / Bitset::kWordBits] |= Bitset::word_type{1}
-                                           << (v % Bitset::kWordBits);
-    op.words = staging_row.data();
-    return op;
+  // Tiny operand: list its elements once, so every target is visited by
+  // probes or a sorted merge instead of a pass over the universe.  The
+  // listing stops at `size` elements, the room the caller provided.
+  std::uint32_t* out = elements;
+  std::uint32_t* const end = elements + size;
+  for (std::size_t w = 0; w < words_ && out != end; ++w) {
+    for (Bitset::word_type bits = words[w]; bits != 0 && out != end;
+         bits &= bits - 1)
+      *out++ = static_cast<std::uint32_t>(w * Bitset::kWordBits +
+                                          std::countr_zero(bits));
   }
-  op.elems = elems.data();
+  op.elems = elements;
   return op;
 }
 
@@ -186,18 +186,32 @@ std::uint32_t PairKernelEngine::pair_count(std::size_t k,
   return merge_count(elements(k), g.elems, g.size);
 }
 
-void PairKernelEngine::nmin_batch(std::span<const DetectionSet> batch,
+std::span<Bitset::word_type> PairKernelEngine::member_row(
+    Scratch& s, std::size_t b) const {
+  require(b < kBatchWidth, "PairKernelEngine::member_row: index out of range");
+  if (s.staging.size() != kBatchWidth * words_)
+    s.staging.assign(kBatchWidth * words_, 0);
+  return {s.staging.data() + b * words_, words_};
+}
+
+void PairKernelEngine::nmin_batch(std::span<const std::uint32_t> sizes,
                                   std::span<std::uint64_t> out,
                                   Scratch& s) const {
-  const std::size_t width = batch.size();
-  require(width >= 1 && width <= kBatchWidth && out.size() == width,
+  const std::size_t width = sizes.size();
+  require(width >= 1 && width <= kBatchWidth && out.size() == width &&
+              s.staging.size() == kBatchWidth * words_,
           "PairKernelEngine::nmin_batch: batch shape mismatch");
   const simd::Kernels& kern = simd::active_kernels();
-  s.staging.resize(kBatchWidth * words_);
 
+  std::size_t tiny_elements = 0;
+  for (const std::uint32_t size : sizes)
+    if (size < element_threshold()) tiny_elements += size;
+  if (s.elements.size() < tiny_elements) s.elements.resize(tiny_elements);
+  std::uint32_t* next_elements = s.elements.data();
   for (std::size_t b = 0; b < width; ++b) {
-    const Operand op = classify(
-        batch[b], {s.staging.data() + b * words_, words_});
+    const Operand op =
+        classify(s.staging.data() + b * words_, sizes[b], next_elements);
+    if (op.elems != nullptr) next_elements += op.size;
     s.best[b] = kNeverGuaranteed;
     s.size_g[b] = op.size;
     s.words_g[b] = op.words;
@@ -325,25 +339,32 @@ void PairKernelEngine::intersect_counts_tile(
     m_out[original_[k]] = pair_count(k, g);
 }
 
-void PairKernelEngine::intersect_counts(const DetectionSet& g,
-                                        std::span<std::uint32_t> m_out) const {
+PairKernelEngine::Operand PairKernelEngine::intersect_operand(
+    const Bitset& g, std::span<std::uint32_t> m_out,
+    std::vector<std::uint32_t>& elements) const {
   require(m_out.size() == family_size_,
           "PairKernelEngine::intersect_counts: output size mismatch");
-  std::vector<Bitset::word_type> staging(words_);
-  const Operand op = classify(g, staging);
+  require(g.size() == universe_,
+          "PairKernelEngine: untargeted universe mismatch");
   std::fill(m_out.begin(), m_out.end(), 0u);
+  elements.resize(g.count());
+  return classify(g.words(), static_cast<std::uint32_t>(elements.size()),
+                  elements.data());
+}
+
+void PairKernelEngine::intersect_counts(const Bitset& g,
+                                        std::span<std::uint32_t> m_out) const {
+  std::vector<std::uint32_t> elements;
+  const Operand op = intersect_operand(g, m_out, elements);
   for (const Tile& tile : tiles_) intersect_counts_tile(tile, op, m_out);
 }
 
-void PairKernelEngine::intersect_counts(const DetectionSet& g,
+void PairKernelEngine::intersect_counts(const Bitset& g,
                                         std::span<std::uint32_t> m_out,
                                         const ThreadPool& pool,
                                         const CancelToken* cancel) const {
-  require(m_out.size() == family_size_,
-          "PairKernelEngine::intersect_counts: output size mismatch");
-  std::vector<Bitset::word_type> staging(words_);
-  const Operand op = classify(g, staging);
-  std::fill(m_out.begin(), m_out.end(), 0u);
+  std::vector<std::uint32_t> elements;
+  const Operand op = intersect_operand(g, m_out, elements);
   // Tiles write disjoint m_out slots, so the shard is deterministic.
   pool.for_each_index(tiles_.size(), [&](std::size_t t, unsigned) {
     intersect_counts_tile(tiles_[t], op, m_out);

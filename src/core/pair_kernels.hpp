@@ -24,13 +24,15 @@
 //     pass.
 //
 //   * A sweep serves a register-blocked batch of up to kBatchWidth
-//     untargeted sets per memory pass.  Untargeted sets above the same
-//     break-even are viewed as words -- dense sets directly, sparse ones
-//     scattered once into a per-batch staging row -- and each packed
-//     target row is streamed once and ANDed against four of them at a time
-//     through the runtime-dispatched simd::Kernels (AVX2 when available).
-//     Tiny untargeted sets take a gather path, probing the packed rows at
-//     their element positions; tiny x tiny pairs keep the sorted merge,
+//     untargeted sets per memory pass.  The caller writes each member as a
+//     dense word row into the staging rows the worker's Scratch owns (the
+//     factored database materializes a bridge there with two word-ANDs)
+//     and passes its stored size.  Members above the same break-even are
+//     served as words: each packed target row is streamed once and ANDed
+//     against four of them at a time through the runtime-dispatched
+//     simd::Kernels (AVX2 when available).  Tiny members take a gather
+//     path, probing the packed rows at their element positions (extracted
+//     once from the staging row); tiny x tiny pairs keep the sorted merge,
 //     which is cheap by construction.
 //
 //   * The N(f) prune survives tiling at tile granularity: a batch member
@@ -137,27 +139,36 @@ class PairKernelEngine {
     const std::uint32_t* elems_g[kBatchWidth] = {};
     std::uint32_t active_rows[kBatchWidth] = {};
     std::uint32_t active_gather[kBatchWidth] = {};
-    /// Staging rows sparse members are scattered into (kBatchWidth rows).
+    /// The kBatchWidth member rows (member_row).
     std::vector<Bitset::word_type> staging;
+    /// Element lists of the tiny members, extracted from their rows.
+    std::vector<std::uint32_t> elements;
   };
 
-  /// The worst-case kernel: out[i] = nmin(batch[i]) = min over overlapping
+  /// Member b's staging row in `scratch` (b < kBatchWidth): one word per 64
+  /// universe elements, which the caller overwrites with the member's set
+  /// before nmin_batch.  Bits past the universe must be zero.
+  std::span<Bitset::word_type> member_row(Scratch& scratch,
+                                          std::size_t b) const;
+
+  /// The worst-case kernel: out[b] = nmin(member b) = min over overlapping
   /// targets f of N(f) - M(g,f) + 1, kNeverGuaranteed when no target
-  /// overlaps.  batch.size() must be in [1, kBatchWidth] and match
-  /// out.size(); every set must live over the engine's universe.
-  void nmin_batch(std::span<const DetectionSet> batch,
+  /// overlaps.  Member b is member_row(scratch, b) and sizes[b] must be its
+  /// popcount (the stored |T(g)|).  sizes.size() must be in
+  /// [1, kBatchWidth] and match out.size().
+  void nmin_batch(std::span<const std::uint32_t> sizes,
                   std::span<std::uint64_t> out, Scratch& scratch) const;
 
   /// The unpruned drill-down kernel behind overlap_entries: m_out[i] =
   /// M(g, target i) indexed by the ORIGINAL target position (zero for
-  /// empty targets).  m_out.size() must equal the original family size.
-  void intersect_counts(const DetectionSet& g,
-                        std::span<std::uint32_t> m_out) const;
+  /// empty targets).  g must live over the engine's universe and
+  /// m_out.size() must equal the original family size.
+  void intersect_counts(const Bitset& g, std::span<std::uint32_t> m_out) const;
 
   /// Same, with the tiles sharded across a caller-owned pool.  A non-null
   /// `cancel` is polled between tile claims; a fired token raises Error
   /// with stage "pair_kernels".
-  void intersect_counts(const DetectionSet& g, std::span<std::uint32_t> m_out,
+  void intersect_counts(const Bitset& g, std::span<std::uint32_t> m_out,
                         const ThreadPool& pool,
                         const CancelToken* cancel = nullptr) const;
 
@@ -170,8 +181,8 @@ class PairKernelEngine {
   };
 
   /// One untargeted operand, already classified for the sweep: a word view
-  /// (dense payload or staging row) when row-sized, an element view when
-  /// tiny.  Exactly one pointer is set.
+  /// of its row when row-sized, an element view when tiny.  Exactly one
+  /// pointer is set.
   struct Operand {
     const Bitset::word_type* words = nullptr;
     const std::uint32_t* elems = nullptr;
@@ -194,8 +205,15 @@ class PairKernelEngine {
             elem_offset_[k + 1] - elem_offset_[k]};
   }
 
-  Operand classify(const DetectionSet& g,
-                   std::span<Bitset::word_type> staging_row) const;
+  /// Classifies the dense row `words` holding `size` elements; a tiny
+  /// operand's elements are written to `elements` (room for `size`).
+  Operand classify(const Bitset::word_type* words, std::uint32_t size,
+                   std::uint32_t* elements) const;
+
+  /// intersect_counts' operand: checks g and m_out, zeroes m_out, and
+  /// classifies g with `elements` as the element buffer.
+  Operand intersect_operand(const Bitset& g, std::span<std::uint32_t> m_out,
+                            std::vector<std::uint32_t>& elements) const;
 
   /// M(g, sorted target k) for one classified operand.
   std::uint32_t pair_count(std::size_t k, const Operand& g) const;

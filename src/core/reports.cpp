@@ -154,16 +154,18 @@ std::vector<std::pair<std::uint64_t, std::size_t>> figure2_histogram(
 
 std::string describe_set_memory(const DetectionDb& db) {
   std::size_t sparse = 0;
-  const std::size_t total =
-      db.target_sets().size() + db.untargeted_sets().size();
   for (const DetectionSet& set : db.target_sets())
     if (set.representation() == DetectionSet::Rep::kSparse) ++sparse;
-  for (const DetectionSet& set : db.untargeted_sets())
-    if (set.representation() == DetectionSet::Rep::kSparse) ++sparse;
+  const DetectionDb::SetStorage storage = db.set_storage();
   std::ostringstream os;
-  os << "detection-set storage: " << db.set_memory_bytes() << " bytes ("
-     << sparse << " of " << total << " sets sparse; all-dense would be "
-     << db.dense_memory_bytes() << " bytes)";
+  os << "detection-set storage: " << storage.total() << " bytes (T(f): "
+     << storage.target_set_bytes << " bytes, " << sparse << " of "
+     << db.target_sets().size() << " sets sparse; T(g) factored: "
+     << storage.row_bytes << " bytes of Obs/good-value rows over "
+     << storage.site_rows << " sites + " << storage.count_bytes
+     << " bytes of |T(g)| for " << db.untargeted().size()
+     << " faults; all-dense would be " << db.dense_memory_bytes()
+     << " bytes)";
   return os.str();
 }
 

@@ -88,10 +88,11 @@ std::vector<std::pair<std::uint64_t, std::size_t>> figure2_histogram(
 std::string render_figure2(
     const std::vector<std::pair<std::uint64_t, std::size_t>>& histogram);
 
-/// One-line storage summary of a database's frozen detection sets: payload
-/// bytes under the chosen representation policy vs all-dense, and how many
-/// sets froze sparse.  Printed by the report CLIs so the adaptive
-/// representation win is visible next to the analysis numbers.
+/// One-line storage summary of a database: total payload bytes, split into
+/// the frozen T(f) sets (and how many froze sparse) and the factored T(g)
+/// store (Obs/good-value rows and |T(g)| counts), against what every set
+/// would take frozen all-dense.  Printed by the report CLIs so the storage
+/// win is visible next to the analysis numbers.
 std::string describe_set_memory(const DetectionDb& db);
 
 }  // namespace ndet

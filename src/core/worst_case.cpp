@@ -88,27 +88,32 @@ WorstCaseResult analyze_worst_case(const DetectionDb& db,
                                    const CancelToken* cancel) {
   check_cancel(cancel, "worst_case");
   WorstCaseResult result;
-  const std::vector<DetectionSet>& untargeted = db.untargeted_sets();
+  const DetectionDb::UntargetedSets untargeted = db.untargeted_sets();
   result.nmin.assign(untargeted.size(), kNeverGuaranteed);
   if (untargeted.empty()) return result;
 
   // Pack the targets once (N(f)-ascending tiles), then serve the untargeted
-  // faults in engine-width batches: each batch streams every needed tile
-  // once for all its members, and writes only its own nmin slots, so the
-  // shard is deterministic at every thread count.
+  // faults in engine-width batches: each member is materialized from the
+  // factored store straight into the worker's staging row, each batch
+  // streams every needed tile once for all its members, and writes only its
+  // own nmin slots, so the shard is deterministic at every thread count.
   const PairKernelEngine engine(db.target_sets(),
                                 static_cast<std::size_t>(db.vector_count()));
   constexpr std::size_t kWidth = PairKernelEngine::kBatchWidth;
   const std::size_t batches = (untargeted.size() + kWidth - 1) / kWidth;
   std::vector<PairKernelEngine::Scratch> scratch(pool.workers_for(batches));
   pool.for_each_index(batches, [&](std::size_t batch, unsigned worker) {
+    PairKernelEngine::Scratch& s = scratch[worker];
     const std::size_t begin = batch * kWidth;
     const std::size_t size = std::min(kWidth, untargeted.size() - begin);
-    engine.nmin_batch(std::span<const DetectionSet>(untargeted)
-                          .subspan(begin, size),
-                      std::span<std::uint64_t>(result.nmin)
-                          .subspan(begin, size),
-                      scratch[worker]);
+    std::uint32_t sizes[kWidth];
+    for (std::size_t b = 0; b < size; ++b) {
+      untargeted.materialize(begin + b, engine.member_row(s, b));
+      sizes[b] = untargeted.count(begin + b);
+    }
+    engine.nmin_batch({sizes, size},
+                      std::span<std::uint64_t>(result.nmin).subspan(begin, size),
+                      s);
   }, cancel);
   check_cancel(cancel, "worst_case");
   return result;
@@ -126,7 +131,7 @@ std::vector<OverlapEntry> overlap_entries(const DetectionDb& db,
                                           const ThreadPool& pool) {
   require(untargeted_index < db.untargeted().size(),
           "overlap_entries: untargeted fault index out of range");
-  const DetectionSet& tg = db.untargeted_sets()[untargeted_index];
+  const Bitset tg = db.untargeted_sets().bitset(untargeted_index);
   const std::span<const DetectionSet> target_sets = db.target_sets();
   const PairKernelEngine engine(target_sets,
                                 static_cast<std::size_t>(db.vector_count()));

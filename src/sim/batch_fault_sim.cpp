@@ -50,42 +50,25 @@ BatchFaultSimulator::Scratch BatchFaultSimulator::make_scratch() const {
 BatchFaultSimulator::Activation BatchFaultSimulator::activation(
     const StuckAtFault& fault) const {
   // The line differs from its fault-free value where good(driver) != c.
-  Activation act;
-  act.site = fault.line;
-  act.gate[0] = lines_->line(fault.line).driver;
-  act.value[0] = !fault.stuck_value;
-  return act;
+  return {lines_->line(fault.line).driver, !fault.stuck_value};
 }
 
-BatchFaultSimulator::Activation BatchFaultSimulator::activation(
-    const BridgingFault& fault) const {
-  // The victim is forced to a2 where the aggressor carries a2, which flips
-  // it where it carried a1 = !a2.
-  Activation act;
-  act.site = lines_->stem_of(fault.victim);
-  act.gate[0] = fault.victim;
-  act.value[0] = fault.victim_value;
-  act.gate[1] = fault.aggressor;
-  act.value[1] = fault.aggressor_value;
-  return act;
-}
-
-void BatchFaultSimulator::observe(LineId site, Scratch& scratch) const {
+void BatchFaultSimulator::observe(LineId site, Scratch& scratch,
+                                  std::uint64_t* const obs) const {
   const Circuit& circuit = good_->circuit();
   const Line& line = lines_->line(site);
   const bool branch = line.kind == LineKind::kBranch;
   const GateId root = branch ? line.sink : line.driver;
   const std::span<const GateId> cone = cone_gates(root);
   const std::span<const GateId> outputs = cone_outputs(root);
-  std::uint64_t* const obs = scratch.obs.data();
-  std::fill(scratch.obs.begin(), scratch.obs.end(), 0);
+  const std::size_t word_count = good_->word_count();
+  std::fill(obs, obs + word_count, 0);
   if (outputs.empty()) return;  // the site reaches no output
 
   std::uint64_t* const faulty = scratch.faulty.data();
   std::uint64_t* const fanin_words = scratch.fanins.data();
   std::uint8_t* const changed = scratch.changed.data();
   const Gate& root_gate = circuit.gate(root);
-  const std::size_t word_count = good_->word_count();
 
   for (std::size_t w = 0; w < word_count; ++w) {
     // Flip the site.  A stem flips its driver's output on every vector; a
@@ -146,32 +129,41 @@ void BatchFaultSimulator::mask_into(const Activation& act,
                                     Bitset& set) const {
   std::uint64_t* const out = set.words();
   // [good(g) == value] is good(g) when value = 1 and ~good(g) when 0.
-  const std::span<const std::uint64_t> a = good_->good_words(act.gate[0]);
-  const std::uint64_t a_flip = act.value[0] ? 0 : ~std::uint64_t{0};
-  if (act.gate[1] == kInvalidGate) {
-    for (std::size_t w = 0; w < obs.size(); ++w)
-      out[w] = obs[w] & (a[w] ^ a_flip);
-    return;
-  }
-  const std::span<const std::uint64_t> b = good_->good_words(act.gate[1]);
-  const std::uint64_t b_flip = act.value[1] ? 0 : ~std::uint64_t{0};
-  for (std::size_t w = 0; w < obs.size(); ++w)
-    out[w] = obs[w] & (a[w] ^ a_flip) & (b[w] ^ b_flip);
+  const std::span<const std::uint64_t> a = good_->good_words(act.gate);
+  const std::uint64_t flip = act.value ? 0 : ~std::uint64_t{0};
+  for (std::size_t w = 0; w < obs.size(); ++w) out[w] = obs[w] & (a[w] ^ flip);
 }
 
-std::vector<Bitset> BatchFaultSimulator::factored_sets(
-    std::size_t count, const std::function<Activation(std::size_t)>& fault,
+void BatchFaultSimulator::for_each_site(
+    std::size_t sites, const std::function<void(std::size_t, Scratch&)>& body,
     const CancelToken* cancel) const {
+  const ThreadPool local(num_threads_);
+  const ThreadPool& pool = shared_pool_ ? *shared_pool_ : local;
+  // One scratch arena per worker, reused across all its sites: workers
+  // allocate nothing.
+  std::vector<Scratch> scratch(pool.workers_for(sites));
+  for (Scratch& s : scratch) s = make_scratch();
+  pool.for_each_index(
+      sites, [&](std::size_t k, unsigned worker) { body(k, scratch[worker]); },
+      cancel);
+  // Workers drained without throwing; surface the cancellation here, where
+  // the stage is known.
+  check_cancel(cancel, "fault_sim");
+}
+
+std::vector<Bitset> BatchFaultSimulator::detection_sets(
+    std::span<const StuckAtFault> faults, const CancelToken* cancel) const {
   check_cancel(cancel, "fault_sim");
   // Every result is allocated here, on the calling thread, which also frees
   // them: workers only fill words, so no set crosses allocator arenas.
+  const std::size_t count = faults.size();
   std::vector<Bitset> sets(count, Bitset(good_->vector_count()));
   if (count == 0) return sets;
 
   // Group the faults by site (a counting sort over line ids): begin[s] ..
   // begin[s + 1] indexes the faults on site s inside `order`.
   std::vector<std::uint32_t> begin(lines_->line_count() + 1, 0);
-  for (std::size_t i = 0; i < count; ++i) ++begin[fault(i).site + 1];
+  for (const StuckAtFault& fault : faults) ++begin[fault.line + 1];
   std::vector<LineId> sites;
   for (LineId s = 0; s < lines_->line_count(); ++s) {
     if (begin[s + 1] != 0) sites.push_back(s);
@@ -181,59 +173,44 @@ std::vector<Bitset> BatchFaultSimulator::factored_sets(
   {
     std::vector<std::uint32_t> next(begin.begin(), begin.end() - 1);
     for (std::size_t i = 0; i < count; ++i)
-      order[next[fault(i).site]++] = static_cast<std::uint32_t>(i);
+      order[next[faults[i].line]++] = static_cast<std::uint32_t>(i);
   }
 
-  const ThreadPool local(num_threads_);
-  const ThreadPool& pool = shared_pool_ ? *shared_pool_ : local;
-  // One scratch arena per worker, reused across all its sites: workers
-  // allocate nothing.
-  std::vector<Scratch> scratch(pool.workers_for(sites.size()));
-  for (Scratch& s : scratch) s = make_scratch();
-  pool.for_each_index(
+  for_each_site(
       sites.size(),
-      [&](std::size_t k, unsigned worker) {
+      [&](std::size_t k, Scratch& arena) {
         const LineId site = sites[k];
-        Scratch& arena = scratch[worker];
-        observe(site, arena);
+        observe(site, arena, arena.obs.data());
         for (std::uint32_t j = begin[site]; j < begin[site + 1]; ++j)
-          mask_into(fault(order[j]), arena.obs, sets[order[j]]);
+          mask_into(activation(faults[order[j]]), arena.obs, sets[order[j]]);
       },
       cancel);
-  // Workers drained without throwing; surface the cancellation here, where
-  // the stage is known.
-  check_cancel(cancel, "fault_sim");
   return sets;
 }
 
-Bitset BatchFaultSimulator::factored_set(const Activation& act) const {
+Bitset BatchFaultSimulator::detection_set(const StuckAtFault& fault) const {
   Scratch scratch = make_scratch();
-  observe(act.site, scratch);
+  observe(fault.line, scratch, scratch.obs.data());
   Bitset set(good_->vector_count());
-  mask_into(act, scratch.obs, set);
+  mask_into(activation(fault), scratch.obs, set);
   return set;
 }
 
-std::vector<Bitset> BatchFaultSimulator::detection_sets(
-    std::span<const StuckAtFault> faults, const CancelToken* cancel) const {
-  return factored_sets(
-      faults.size(), [&](std::size_t i) { return activation(faults[i]); },
+std::vector<Bitset::word_type> BatchFaultSimulator::observability(
+    std::span<const LineId> sites, const CancelToken* cancel) const {
+  check_cancel(cancel, "fault_sim");
+  const std::size_t words = good_->word_count();
+  std::vector<Bitset::word_type> rows(sites.size() * words);
+  for (const LineId site : sites)
+    require(site < lines_->line_count(),
+            "BatchFaultSimulator::observability: site out of range");
+  for_each_site(
+      sites.size(),
+      [&](std::size_t k, Scratch& arena) {
+        observe(sites[k], arena, rows.data() + k * words);
+      },
       cancel);
-}
-
-std::vector<Bitset> BatchFaultSimulator::detection_sets(
-    std::span<const BridgingFault> faults, const CancelToken* cancel) const {
-  return factored_sets(
-      faults.size(), [&](std::size_t i) { return activation(faults[i]); },
-      cancel);
-}
-
-Bitset BatchFaultSimulator::detection_set(const StuckAtFault& fault) const {
-  return factored_set(activation(fault));
-}
-
-Bitset BatchFaultSimulator::detection_set(const BridgingFault& fault) const {
-  return factored_set(activation(fault));
+  return rows;
 }
 
 }  // namespace ndet

@@ -22,9 +22,12 @@
 //
 // This is exact, not an approximation, so the sets are bit-identical to
 // per-fault injection.  The engine runs ONE flip simulation per distinct
-// site in a batch and derives every fault on that site from it -- the win
-// is on the bridging set G, whose size grows with the square of the
-// circuit while the number of victim sites grows linearly.
+// site in a batch and derives every fault on that site from it.  Stuck-at
+// batches come back as finished sets; for the bridging set G, whose size
+// grows with the square of the circuit while the number of victim sites
+// grows linearly, the engine hands out the Obs rows themselves
+// (observability()) and DetectionDb keeps G in that factored form
+// (DESIGN.md "Factored detection database").
 //
 //   * all fanout cones and their affected-output lists come from the shared
 //     netlist graph core (netlist/graph.hpp): a ConeIndex freezes every
@@ -55,7 +58,6 @@
 #include <span>
 #include <vector>
 
-#include "faults/bridging.hpp"
 #include "faults/stuck_at.hpp"
 #include "netlist/graph.hpp"
 #include "netlist/lines.hpp"
@@ -91,12 +93,17 @@ class BatchFaultSimulator {
   /// surfaces as Error{kCancelled|kDeadlineExceeded} with stage "fault_sim".
   std::vector<Bitset> detection_sets(std::span<const StuckAtFault> faults,
                                      const CancelToken* cancel = nullptr) const;
-  std::vector<Bitset> detection_sets(std::span<const BridgingFault> faults,
-                                     const CancelToken* cancel = nullptr) const;
 
-  /// Single-fault conveniences (run on the calling thread).
+  /// Single-fault convenience (runs on the calling thread).
   Bitset detection_set(const StuckAtFault& fault) const;
-  Bitset detection_set(const BridgingFault& fault) const;
+
+  /// Obs(site) for every site, site-major in one flat array: row i is
+  /// words [i * word_count, (i + 1) * word_count) of the good simulator's
+  /// layout, bits past the last vector zero.  Sites fan out across the
+  /// worker pool and each row is written in place, so the result is
+  /// independent of the thread count.  Cancellation as for detection_sets.
+  std::vector<Bitset::word_type> observability(
+      std::span<const LineId> sites, const CancelToken* cancel = nullptr) const;
 
   /// Precomputed structural views: `root` plus its transitive fanout in
   /// topological order, and the primary outputs among those gates.
@@ -107,13 +114,10 @@ class BatchFaultSimulator {
   unsigned thread_count() const { return num_threads_; }
 
  private:
-  /// A fault in factored form: T = Obs(site) & [good(gate[0]) == value[0]]
-  /// & [good(gate[1]) == value[1]], the second term absent when gate[1] is
-  /// kInvalidGate.
+  /// A stuck-at fault's activation term: T = Obs(line) & [good(gate) == value].
   struct Activation {
-    LineId site = 0;
-    GateId gate[2] = {kInvalidGate, kInvalidGate};
-    bool value[2] = {false, false};
+    GateId gate = kInvalidGate;
+    bool value = false;
   };
 
   /// Per-thread reusable buffers.  `changed` is all-zero outside the cone
@@ -128,22 +132,19 @@ class BatchFaultSimulator {
 
   Scratch make_scratch() const;
   Activation activation(const StuckAtFault& fault) const;
-  Activation activation(const BridgingFault& fault) const;
 
-  /// The flip kernel: fills scratch.obs with Obs(site).
-  void observe(LineId site, Scratch& scratch) const;
+  /// The flip kernel: writes Obs(site) into `obs` (word_count words).
+  void observe(LineId site, Scratch& scratch, std::uint64_t* obs) const;
 
-  /// Writes Obs & the activation terms into `set`.
+  /// Writes Obs & the activation term into `set`.
   void mask_into(const Activation& act, std::span<const std::uint64_t> obs,
                  Bitset& set) const;
 
-  /// The batch driver: groups faults by site, simulates each distinct site
-  /// once and masks out every fault on it.
-  std::vector<Bitset> factored_sets(
-      std::size_t count, const std::function<Activation(std::size_t)>& fault,
-      const CancelToken* cancel) const;
-
-  Bitset factored_set(const Activation& act) const;
+  /// Fans `sites` out across the pool, one scratch arena per worker:
+  /// body(k, arena) runs once per site index k.
+  void for_each_site(std::size_t sites,
+                     const std::function<void(std::size_t, Scratch&)>& body,
+                     const CancelToken* cancel) const;
 
   const ExhaustiveSimulator* good_;
   const LineModel* lines_;

@@ -1,13 +1,16 @@
 // batch_sim_test.cpp -- the batched engine against the per-fault oracles.
 //
-// BatchFaultSimulator derives every T(f) and T(g) from one flip simulation
-// per fault site (Obs(site) AND the fault's activation condition).  Its
-// contract is that every set is bit-identical to per-fault injection.  The
-// suite holds it to that against both independent engines: the per-fault
-// FaultSimulator across the FSM benchmark circuits, and sim/reference's
-// naive gate-by-gate injection on small circuits, in explicit-vector (list)
-// mode, on spans with duplicate faults and unobservable sites, under
-// varying worker-pool widths, and under cancellation.
+// BatchFaultSimulator derives every T(f) from one flip simulation per fault
+// site (Obs(site) AND the fault's activation condition) and hands out the
+// Obs rows themselves, from which DetectionDb composes every T(g).  Its
+// contract is that every set is bit-identical to per-fault injection and
+// every Obs row equals T(site/0) | T(site/1) by injection.  The suite holds
+// it to that against both independent engines: the per-fault FaultSimulator
+// across the FSM benchmark circuits (bridging sets through the database
+// built on the engine), and sim/reference's naive gate-by-gate injection
+// on small circuits, in explicit-vector (list) mode, on spans with
+// duplicate faults and unobservable sites, under varying worker-pool
+// widths, and under cancellation.
 
 #include <gtest/gtest.h>
 
@@ -72,12 +75,30 @@ Bitset reference_set(const ExhaustiveSimulator& good, const Model& model,
   return set;
 }
 
-/// Every stuck-at and bridging set of the batched engine against the naive
-/// reference.
+/// Obs(site) by injection: flipping the site is stuck-at-0 where it carries
+/// 1 and stuck-at-1 where it carries 0, so Obs = T(site/0) | T(site/1).
+Bitset reference_obs(const ExhaustiveSimulator& good, const LineModel& lines,
+                     LineId site) {
+  Bitset obs = reference_set(good, lines, StuckAtFault{site, false});
+  obs |= reference_set(good, lines, StuckAtFault{site, true});
+  return obs;
+}
+
+/// Row k of a flat observability() result as a Bitset.
+Bitset obs_row(const std::vector<Bitset::word_type>& rows, std::size_t k,
+               std::size_t vector_count) {
+  Bitset row(vector_count);
+  std::copy_n(rows.begin() + static_cast<std::ptrdiff_t>(k * row.word_count()),
+              row.word_count(), row.words());
+  return row;
+}
+
+/// Every stuck-at set and every Obs row of the batched engine against the
+/// naive reference.
 void expect_matches_reference(const ExhaustiveSimulator& good,
                               const LineModel& lines,
                               const std::vector<StuckAtFault>& stuck,
-                              const std::vector<BridgingFault>& bridges,
+                              const std::vector<LineId>& sites,
                               const std::string& label) {
   const BatchFaultSimulator batched(good, lines, {.num_threads = 2});
   const std::vector<Bitset> stuck_sets = batched.detection_sets(stuck);
@@ -88,15 +109,40 @@ void expect_matches_reference(const ExhaustiveSimulator& good,
     ASSERT_EQ(batched.detection_set(stuck[i]), stuck_sets[i])
         << label << " single stuck-at " << to_string(stuck[i], lines);
   }
-  const Circuit& circuit = lines.circuit();
-  const std::vector<Bitset> bridge_sets = batched.detection_sets(bridges);
-  ASSERT_EQ(bridge_sets.size(), bridges.size()) << label;
-  for (std::size_t i = 0; i < bridges.size(); ++i) {
-    ASSERT_EQ(bridge_sets[i], reference_set(good, circuit, bridges[i]))
-        << label << " bridge " << to_string(bridges[i], circuit);
-    ASSERT_EQ(batched.detection_set(bridges[i]), bridge_sets[i])
-        << label << " single bridge " << to_string(bridges[i], circuit);
+  const std::vector<Bitset::word_type> rows = batched.observability(sites);
+  ASSERT_EQ(rows.size(), sites.size() * good.word_count()) << label;
+  for (std::size_t k = 0; k < sites.size(); ++k) {
+    ASSERT_EQ(obs_row(rows, k, good.vector_count()),
+              reference_obs(good, lines, sites[k]))
+        << label << " Obs(" << lines.line(sites[k]).name << ")";
   }
+}
+
+std::vector<LineId> all_lines(const LineModel& lines) {
+  std::vector<LineId> sites(lines.line_count());
+  for (LineId l = 0; l < lines.line_count(); ++l) sites[l] = l;
+  return sites;
+}
+
+/// The database built on the engine holds exactly the enumerated bridges
+/// whose per-fault set is non-empty, in order, each with that set.
+void expect_db_bridges_match(const Circuit& circuit,
+                             const FaultSimulator& reference,
+                             const std::string& machine) {
+  const DetectionDb db = DetectionDb::build(circuit);
+  const std::vector<BridgingFault> bridges =
+      enumerate_four_way_bridging(circuit);
+  const std::vector<Bitset> expected = reference.detection_sets(bridges);
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < bridges.size(); ++i) {
+    if (expected[i].none()) continue;
+    ASSERT_LT(j, db.untargeted().size()) << machine;
+    ASSERT_EQ(db.untargeted()[j], bridges[i]) << machine << " bridge " << i;
+    ASSERT_EQ(db.untargeted_sets().bitset(j), expected[i])
+        << machine << " bridge " << i;
+    ++j;
+  }
+  EXPECT_EQ(j, db.untargeted().size()) << machine;
 }
 
 /// One driver feeding two slots of the same sink (a into AND(a, a, b), b
@@ -132,10 +178,7 @@ TEST(BatchFaultSim, CrossValidatesAgainstReferenceOnFsmSuite) {
     expect_identical_sets(reference.detection_sets(targets),
                           batched.detection_sets(targets), name, "stuck-at");
 
-    const std::vector<BridgingFault> bridges =
-        enumerate_four_way_bridging(circuit);
-    expect_identical_sets(reference.detection_sets(bridges),
-                          batched.detection_sets(bridges), name, "bridging");
+    expect_db_bridges_match(circuit, reference, name);
   }
 }
 
@@ -155,7 +198,7 @@ TEST(BatchFaultSim, CrossValidatesInExplicitVectorMode) {
 
 TEST(BatchFaultSim, FactoredSetsMatchPerFaultInjection) {
   // Exhaustive mode: every line's two stuck-at faults (collapsing would
-  // hide faults on unobservable lines) and every four-way bridge.
+  // hide faults on unobservable lines) and every line's Obs row.
   const std::vector<std::pair<std::string, Circuit>> circuits = {
       {"paper_example", paper_example()},
       {"repeated_fanin", repeated_fanin_circuit()},
@@ -166,8 +209,7 @@ TEST(BatchFaultSim, FactoredSetsMatchPerFaultInjection) {
     const LineModel lines(circuit);
     const ExhaustiveSimulator good(circuit);
     expect_matches_reference(good, lines, all_stuck_at_faults(lines),
-                             enumerate_four_way_bridging(circuit),
-                             name);
+                             all_lines(lines), name);
   }
 
   // lion has gates outside every output cone: their sites have an empty
@@ -201,15 +243,14 @@ TEST(BatchFaultSim, FactoredSetsMatchPerFaultInjection) {
     mixed.push_back(StuckAtFault{l, false});
     mixed.push_back(StuckAtFault{l, true});
   }
-  const std::vector<BridgingFault> lion_bridges =
-      enumerate_four_way_bridging(lion);
-  std::vector<BridgingFault> mixed_bridges;
-  for (std::size_t i = 0; i < lion_bridges.size(); i += 5) {
-    mixed_bridges.push_back(lion_bridges[lion_bridges.size() - 1 - i]);
-    mixed_bridges.push_back(lion_bridges[i]);
+  std::vector<LineId> mixed_sites;
+  for (LineId l = lion_lines.line_count(); l-- > 0;) {
+    mixed_sites.push_back(l);
+    if (l % 3 == 0) mixed_sites.push_back((l * 7) % lion_lines.line_count());
   }
-  mixed_bridges.push_back(mixed_bridges.front());
-  expect_matches_reference(lion_good, lion_lines, mixed, mixed_bridges,
+  mixed_sites.insert(mixed_sites.end(), unobservable.begin(),
+                     unobservable.end());
+  expect_matches_reference(lion_good, lion_lines, mixed, mixed_sites,
                            "lion mixed span");
 
   // List mode with 100 vectors: two words, the second masked to 36 bits --
@@ -223,8 +264,7 @@ TEST(BatchFaultSim, FactoredSetsMatchPerFaultInjection) {
   ASSERT_EQ(s8_good.word_count(), 2u);
   ASSERT_NE(s8_good.vector_count() % 64, 0u);
   expect_matches_reference(s8_good, s8_lines, all_stuck_at_faults(s8_lines),
-                           enumerate_four_way_bridging(s8),
-                           "s8 list mode");
+                           all_lines(s8_lines), "s8 list mode");
 }
 
 TEST(BatchFaultSim, DeterministicAcrossThreadCounts) {
@@ -232,26 +272,21 @@ TEST(BatchFaultSim, DeterministicAcrossThreadCounts) {
   const LineModel lines(circuit);
   const ExhaustiveSimulator good(circuit);
   const std::vector<StuckAtFault> targets = collapse_stuck_at_faults(lines);
-  const std::vector<BridgingFault> bridges =
-      enumerate_four_way_bridging(circuit);
-  // Small batches: every bridge on one victim (one site, many faults) and
-  // the stuck-at faults of three lines (three sites) -- fewer sites than
-  // the wider pools have workers.
-  std::vector<BridgingFault> one_site;
-  for (const BridgingFault& fault : bridges)
-    if (fault.victim == bridges.front().victim) one_site.push_back(fault);
-  ASSERT_GT(one_site.size(), 8u);
+  const std::vector<LineId> sites = all_lines(lines);
+  // Small batches: one Obs site, and the stuck-at faults of three lines
+  // (three sites) -- fewer sites than the wider pools have workers.
+  const std::vector<LineId> one_site = {sites[sites.size() / 2]};
   const std::vector<StuckAtFault> three_sites(targets.end() - 5,
                                               targets.end());
   const FaultSimulator reference(good, lines);
-  const std::vector<Bitset> one_site_expected =
-      reference.detection_sets(one_site);
+  const Bitset one_site_expected = reference_obs(good, lines, one_site[0]);
   const std::vector<Bitset> three_sites_expected =
       reference.detection_sets(three_sites);
 
   const BatchFaultSimulator single(good, lines, {.num_threads = 1});
   const std::vector<Bitset> stuck_baseline = single.detection_sets(targets);
-  const std::vector<Bitset> bridge_baseline = single.detection_sets(bridges);
+  const std::vector<Bitset::word_type> obs_baseline =
+      single.observability(sites);
 
   for (const unsigned threads : {1u, 2u, 8u, 0u}) {
     const BatchFaultSimulator pool(good, lines, {.num_threads = threads});
@@ -259,10 +294,10 @@ TEST(BatchFaultSim, DeterministicAcrossThreadCounts) {
     const std::string label = "bbara threads=" + std::to_string(threads);
     expect_identical_sets(stuck_baseline, pool.detection_sets(targets), label,
                           "stuck-at");
-    expect_identical_sets(bridge_baseline, pool.detection_sets(bridges), label,
-                          "bridging");
-    expect_identical_sets(one_site_expected, pool.detection_sets(one_site),
-                          label, "one-site bridging");
+    EXPECT_EQ(pool.observability(sites), obs_baseline) << label;
+    EXPECT_EQ(obs_row(pool.observability(one_site), 0, good.vector_count()),
+              one_site_expected)
+        << label;
     expect_identical_sets(three_sites_expected,
                           pool.detection_sets(three_sites), label,
                           "three-site stuck-at");
@@ -270,13 +305,14 @@ TEST(BatchFaultSim, DeterministicAcrossThreadCounts) {
 }
 
 TEST(BatchFaultSim, CancelledTokenRaisesFaultSimError) {
-  // dk16's bridging batch runs tens of milliseconds on one worker, so a
-  // 1 ms deadline fires while sites are being simulated.
+  // Every dk16 line observed 100 times over runs tens of milliseconds on
+  // one worker, so a 1 ms deadline fires while sites are being simulated.
   const Circuit circuit = fsm_benchmark_circuit("dk16");
   const LineModel lines(circuit);
   const ExhaustiveSimulator good(circuit);
-  const std::vector<BridgingFault> bridges =
-      enumerate_four_way_bridging(circuit);
+  std::vector<LineId> sites;
+  for (int repeat = 0; repeat < 100; ++repeat)
+    for (LineId l = 0; l < lines.line_count(); ++l) sites.push_back(l);
   const std::vector<StuckAtFault> targets = collapse_stuck_at_faults(lines);
 
   for (const unsigned threads : {1u, 2u}) {
@@ -296,7 +332,7 @@ TEST(BatchFaultSim, CancelledTokenRaisesFaultSimError) {
     CancelToken deadline;
     deadline.set_deadline_after_ms(1);
     try {
-      (void)batched.detection_sets(bridges, &deadline);
+      (void)batched.observability(sites, &deadline);
       FAIL() << "expected Error from a deadline inside the batch";
     } catch (const Error& e) {
       EXPECT_EQ(e.kind(), ErrorKind::kDeadlineExceeded);

@@ -8,9 +8,10 @@
 //   2. PairKernelEngine is bit-identical to the scalar DetectionSet
 //      kernels -- nmin_batch against the unpruned nmin_of reference and
 //      intersect_counts against per-pair intersect_count -- across all
-//      representation pairings, odd universe sizes (non-multiples of 64
+//      target representations, odd universe sizes (non-multiples of 64
 //      and of the 256-bit vector width), empty sets, every batch width,
-//      adversarial tile geometries, and every available dispatch level.
+//      staging rows reused across batches, adversarial tile geometries,
+//      and every available dispatch level.
 //
 // NDET_SIMD_LEVEL / NDET_FORCE_PORTABLE coverage: the resolution rule is
 // unit-tested directly (resolve_level), and the CI sanitize job runs this
@@ -19,9 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <vector>
 
 #include "core/detection_db.hpp"
@@ -54,6 +57,23 @@ Bitset random_bitset(Rng& rng, std::size_t universe,
   for (std::size_t i = 0; i < universe; ++i)
     if (rng.chance(density_permille, 1000)) bits.set(i);
   return bits;
+}
+
+/// Serves `batch` through nmin_batch the way analyze_worst_case does: each
+/// member's words are written over whatever its staging row held before.
+void nmin_batch_of(const PairKernelEngine& engine,
+                   std::span<const DetectionSet> batch,
+                   std::span<std::uint64_t> out,
+                   PairKernelEngine::Scratch& scratch) {
+  std::uint32_t sizes[PairKernelEngine::kBatchWidth];
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    const Bitset bits = batch[b].to_bitset();
+    const std::span<Bitset::word_type> row = engine.member_row(scratch, b);
+    ASSERT_EQ(row.size(), bits.word_count());
+    std::copy(bits.words(), bits.words() + bits.word_count(), row.begin());
+    sizes[b] = static_cast<std::uint32_t>(batch[b].count());
+  }
+  engine.nmin_batch({sizes, batch.size()}, out, scratch);
 }
 
 // --- dispatch resolution ----------------------------------------------------
@@ -242,7 +262,8 @@ TEST(PairKernels, NminBatchMatchesReferenceAcrossEverything) {
             while (begin < untargeted.size()) {
               const std::size_t size =
                   std::min(width, untargeted.size() - begin);
-              engine.nmin_batch(
+              nmin_batch_of(
+                  engine,
                   std::span<const DetectionSet>(untargeted)
                       .subspan(begin, size),
                   std::span<std::uint64_t>(got).subspan(begin, size),
@@ -282,14 +303,14 @@ TEST(PairKernels, IntersectCountsMatchPerPairKernels) {
                                      .element_threshold = 0});
       for (const DetectionSet& tg : untargeted) {
         std::vector<std::uint32_t> m(targets.size());
-        engine.intersect_counts(tg, m);
+        engine.intersect_counts(tg.to_bitset(), m);
         for (std::size_t i = 0; i < targets.size(); ++i)
           EXPECT_EQ(m[i], targets[i].intersect_count(tg)) << i;
         // The pool overload shards tiles but must write the same counts.
         for (const unsigned threads : {1u, 2u, 8u}) {
           const ThreadPool pool(threads);
           std::vector<std::uint32_t> m_pool(targets.size());
-          engine.intersect_counts(tg, m_pool, pool);
+          engine.intersect_counts(tg.to_bitset(), m_pool, pool);
           EXPECT_EQ(m_pool, m) << threads;
         }
       }
@@ -373,7 +394,7 @@ TEST(PairKernels, EmptyFamiliesAndEmptySets) {
   PairKernelEngine::Scratch scratch;
   std::uint64_t out[2] = {0, 0};
   const std::vector<DetectionSet> batch = {empty_g, g};
-  engine.nmin_batch(batch, out, scratch);
+  nmin_batch_of(engine, batch, out, scratch);
   EXPECT_EQ(out[0], kNeverGuaranteed);
   EXPECT_EQ(out[1], kNeverGuaranteed);
 
@@ -383,11 +404,11 @@ TEST(PairKernels, EmptyFamiliesAndEmptySets) {
       testing::make_detection_set(universe, {})};
   const PairKernelEngine empties(empty_targets, universe);
   EXPECT_EQ(empties.detectable_targets(), 0u);
-  empties.nmin_batch(batch, out, scratch);
+  nmin_batch_of(empties, batch, out, scratch);
   EXPECT_EQ(out[0], kNeverGuaranteed);
   EXPECT_EQ(out[1], kNeverGuaranteed);
   std::vector<std::uint32_t> m(empty_targets.size(), 77u);
-  empties.intersect_counts(g, m);
+  empties.intersect_counts(g.to_bitset(), m);
   EXPECT_EQ(m, (std::vector<std::uint32_t>{0u, 0u}));
 }
 
@@ -396,11 +417,24 @@ TEST(PairKernels, UniverseMismatchThrows) {
       testing::make_detection_set(64, {1, 2})};
   EXPECT_THROW(PairKernelEngine(targets, 128), contract_error);
   const PairKernelEngine engine(targets, 64);
-  const std::vector<DetectionSet> batch = {
-      testing::make_detection_set(128, {1})};
+  std::vector<std::uint32_t> m(targets.size());
+  EXPECT_THROW(engine.intersect_counts(Bitset(128), m), contract_error);
+  // Members live in staging rows sized by the engine: a batch served before
+  // any row was handed out, or of an impossible width, is refused.
   PairKernelEngine::Scratch scratch;
-  std::uint64_t out[1];
-  EXPECT_THROW(engine.nmin_batch(batch, out, scratch), contract_error);
+  const std::uint32_t sizes[PairKernelEngine::kBatchWidth + 1] = {};
+  std::uint64_t out[PairKernelEngine::kBatchWidth + 1];
+  EXPECT_THROW(engine.nmin_batch({sizes, 1}, {out, 1}, scratch),
+               contract_error);
+  (void)engine.member_row(scratch, 0);
+  EXPECT_THROW(engine.nmin_batch({sizes, 0}, {out, 0}, scratch),
+               contract_error);
+  EXPECT_THROW(engine.nmin_batch({sizes, PairKernelEngine::kBatchWidth + 1},
+                                 {out, PairKernelEngine::kBatchWidth + 1},
+                                 scratch),
+               contract_error);
+  EXPECT_THROW((void)engine.member_row(scratch, PairKernelEngine::kBatchWidth),
+               contract_error);
 }
 
 // --- overlap_entries through the engine -------------------------------------

@@ -70,8 +70,9 @@ TEST(SessionCache, SecondAcquireIsAHit) {
 }
 
 TEST(SessionCache, EvictsLeastRecentlyUsedUnderBytePressure) {
-  // bbtas charges ~35KB; a 2.5-working-set budget holds two or three small
-  // circuits but not five, so the oldest must go first.
+  // The five sessions charge ~120KB together (bbtas ~28KB, lion9 ~39KB,
+  // train11 ~46KB); an 80KB budget holds two or three of them but not
+  // five, so the oldest must go first.
   SessionCache cache(/*budget_bytes=*/80u << 10, single_thread());
   const std::vector<std::string> order = {"paper_example", "bbtas", "dk27",
                                           "lion9", "train11"};
