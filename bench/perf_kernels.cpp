@@ -1,14 +1,17 @@
 // perf_kernels.cpp -- google-benchmark timings of every kernel the
-// reproduction relies on: exhaustive simulation, stuck-at and bridging
-// detection sets, the worst-case nmin sweep (reference vs the pruned
-// parallel engine, with the database memory footprint as counters),
-// the partitioned analysis, Procedure 1 under both definitions, the
-// Definition-2 oracle, and PODEM.
+// reproduction relies on: the small-operand popcount, exhaustive
+// simulation, stuck-at and bridging detection sets, the worst-case nmin
+// sweep (reference vs the pruned parallel engine, with the database memory
+// footprint and the distinct sets swept as counters), the partitioned
+// analysis, Procedure 1 under both definitions, the Definition-2 oracle,
+// and PODEM.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <numeric>
 #include <string>
+#include <vector>
 
 #include "atpg/ndetect.hpp"
 #include "atpg/podem.hpp"
@@ -24,6 +27,7 @@
 #include "sim/exhaustive.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/ternary_sim.hpp"
+#include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace {
@@ -76,6 +80,30 @@ Circuit multi_adder_circuit(int blocks) {
   }
   return b.build();
 }
+
+// The inline small-operand AND-popcount at 1, 2 and 4 words, the universe
+// widths of the suite's small circuits: one call per row pair over 4096
+// pairs, as the database build counts bridges.  The label is the dispatch
+// level: the wrapper runs its own loop on portable and calls the table's
+// POPCNT-built kernel on the x86 vector levels.
+void BM_SmallAndPopcount(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kPairs = 4096;
+  Rng rng(7);
+  std::vector<simd::word> a(kPairs * n), b(kPairs * n);
+  for (simd::word& w : a) w = rng.next();
+  for (simd::word& w : b) w = rng.next();
+  for (auto _ : state) {
+    std::size_t total = 0;
+    for (std::size_t p = 0; p < kPairs; ++p)
+      total += simd::and_popcount(a.data() + p * n, b.data() + p * n, n);
+    benchmark::DoNotOptimize(total);
+  }
+  state.SetLabel(simd::level_name(simd::active_level()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPairs));
+}
+BENCHMARK(BM_SmallAndPopcount)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_ExhaustiveSimulation(benchmark::State& state) {
   const Circuit& c = bench_circuit();
@@ -236,9 +264,11 @@ void BM_WorstCasePruned(benchmark::State& state) {
   const DetectionDb& db = bench_db();
   AnalysisOptions options;
   options.num_threads = static_cast<unsigned>(state.range(0));
+  std::size_t distinct = 0;
   for (auto _ : state) {
     const WorstCaseResult worst = analyze_worst_case(db, options);
     benchmark::DoNotOptimize(worst.nmin.size());
+    distinct = worst.distinct_sets;
   }
   state.SetLabel(simd::level_name(simd::active_level()));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -246,6 +276,7 @@ void BM_WorstCasePruned(benchmark::State& state) {
   state.counters["db_bytes"] = static_cast<double>(db.set_memory_bytes());
   state.counters["dense_bytes"] =
       static_cast<double>(db.dense_memory_bytes());
+  state.counters["distinct"] = static_cast<double>(distinct);
 }
 BENCHMARK(BM_WorstCasePruned)->Arg(1)->Arg(0);
 
@@ -261,15 +292,18 @@ void BM_WorstCasePrunedLarge(benchmark::State& state) {
   const DetectionDb& db = dbs[state.range(0)];
   AnalysisOptions options;
   options.num_threads = static_cast<unsigned>(state.range(1));
+  std::size_t distinct = 0;
   for (auto _ : state) {
     const WorstCaseResult worst = analyze_worst_case(db, options);
     benchmark::DoNotOptimize(worst.nmin.size());
+    distinct = worst.distinct_sets;
   }
   state.SetLabel(std::string(state.range(0) == 0 ? "dvram" : "s1a") + "/" +
                  simd::level_name(simd::active_level()));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(db.untargeted().size()));
   state.counters["db_bytes"] = static_cast<double>(db.set_memory_bytes());
+  state.counters["distinct"] = static_cast<double>(distinct);
 }
 BENCHMARK(BM_WorstCasePrunedLarge)->Args({0, 1})->Args({1, 1})->Args({1, 0});
 

@@ -39,16 +39,11 @@ DetectionDb DetectionDb::build(const Circuit& circuit,
       enumerate_four_way_bridging(*db.circuit_);
   db.enumerated_untargeted_ = enumerated.size();
 
-  // Below about 2 M words of flip simulation and popcount work, every
-  // parallel phase takes a millisecond or less and starting workers costs
-  // more than it saves, so such circuits build on the calling thread.
+  // Flip simulation and popcount work is about one word pass per line and
+  // per enumerated bridge; small circuits build on the calling thread.
   const std::size_t words = good.word_count();
-  constexpr std::size_t kParallelWords = std::size_t{1} << 21;
-  const ThreadPool serial(1);
   const ThreadPool& workers =
-      words * (enumerated.size() + db.lines_->line_count()) < kParallelWords
-          ? serial
-          : pool;
+      pool.for_work(words * (enumerated.size() + db.lines_->line_count()));
   const BatchFaultSimulator simulator(good, *db.lines_, workers);
 
   // F: collapsed single stuck-at faults, with their detection sets.

@@ -27,7 +27,10 @@
 //     untargeted sets per memory pass.  The caller writes each member as a
 //     dense word row into the staging rows the worker's Scratch owns (the
 //     factored database materializes a bridge there with two word-ANDs)
-//     and passes its stored size.  Members above the same break-even are
+//     and passes its stored size.  A member's result depends only on its
+//     set, so analyze_worst_case passes one representative per
+//     identical-set class of G, not every untargeted fault (DESIGN.md
+//     "Identical-set classes").  Members above the same break-even are
 //     served as words: each packed target row is streamed once and ANDed
 //     against four of them at a time through the runtime-dispatched
 //     simd::Kernels (AVX2 when available).  Tiny members take a gather

@@ -56,6 +56,8 @@ std::string to_json(const SessionStats& stats) {
       .value(static_cast<std::uint64_t>(stats.partitioned_hits));
   w.key("partitioned_reused")
       .value(static_cast<std::uint64_t>(stats.partitioned_reused));
+  w.key("worst_case_distinct")
+      .value(static_cast<std::uint64_t>(stats.worst_case_distinct));
   w.key("average_case_entries")
       .value(static_cast<std::uint64_t>(stats.average_case_entries));
   w.key("set_memory_bytes")
@@ -125,6 +127,7 @@ const WorstCaseResult& AnalysisSession::ensure_worst_case() {
       return analyze_worst_case(database, pool_, cancel());
     });
   });
+  stats_.worst_case_distinct = worst_->distinct_sets;
   return *worst_;
 }
 

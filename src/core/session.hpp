@@ -109,6 +109,9 @@ struct SessionStats {
   /// partitioned() misses answered from the session's own database and
   /// worst case (a single cone with the session's netlist).
   std::size_t partitioned_reused = 0;
+  /// Distinct T(g) the session's worst-case sweep served
+  /// (WorstCaseResult::distinct_sets; 0 until the worst case has run).
+  std::size_t worst_case_distinct = 0;
   std::size_t average_case_entries = 0;  ///< distinct memoized requests
 
   std::size_t set_memory_bytes = 0;    ///< frozen sets, chosen policy

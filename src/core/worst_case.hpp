@@ -12,10 +12,17 @@
 // When no target fault's tests overlap T(g), no value of n ever guarantees
 // detection; nmin(g) = kNeverGuaranteed.
 //
-// analyze_worst_case runs on the tiled pair-kernel engine
-// (core/pair_kernels.hpp): targets are packed once into N(f)-ascending
-// cache-resident tiles and batches of untargeted faults shard across a
-// ThreadPool (each batch writes only its own slots, so results are
+// nmin(g) depends only on the set T(g), not on which bridge owns it, and
+// most detectable bridges share their set with another (3.3% of the FSM
+// suite's are distinct).  analyze_worst_case therefore first groups G into
+// identical-set classes (DESIGN.md "Identical-set classes"): it hashes every
+// materialized T(g), groups equal hashes by exact row comparison, and
+// represents each class by its smallest index, so the classes do not depend
+// on the thread count.  Only the representatives go through the tiled
+// pair-kernel engine (core/pair_kernels.hpp); every other fault copies its
+// representative's nmin.  The engine packs the targets once into
+// N(f)-ascending cache-resident tiles and batches of representatives shard
+// across a ThreadPool (each batch writes only its own slots, so results are
 // bit-identical at every thread count).  The algebraic prune survives
 // tiling: M(g,f) <= |T(g)| bounds every candidate below by
 // N(f) - |T(g)| + 1, so a fault leaves the sweep as soon as the next
@@ -44,6 +51,10 @@ constexpr std::uint64_t kNeverGuaranteed = ~std::uint64_t{0};
 struct WorstCaseResult {
   /// nmin(g), index-aligned with DetectionDb::untargeted().
   std::vector<std::uint64_t> nmin;
+
+  /// Distinct T(g) among G: the sets the pair sweep served.  Telemetry
+  /// only; to_json leaves it out.
+  std::size_t distinct_sets = 0;
 
   /// Fraction of G with nmin(g) <= n (a Table 2 cell).
   double fraction_at_most(std::uint64_t n) const;
@@ -82,10 +93,10 @@ struct AnalysisOptions {
   unsigned num_threads = 0;  ///< analysis workers; 0 = all hardware threads
 };
 
-/// Runs the worst-case analysis for every fault in G on the tiled
-/// pair-kernel engine: batches of untargeted faults shard across the worker
-/// pool and the N(f)-sorted prune fires tile by tile.  Bit-identical to the
-/// serial unpruned nmin_of sweep at every thread count, representation
+/// Runs the worst-case analysis for every fault in G: one tiled pair-kernel
+/// sweep per identical-set class, whose batches shard across the worker
+/// pool while the N(f)-sorted prune fires tile by tile.  Bit-identical to
+/// the serial unpruned nmin_of sweep at every thread count, representation
 /// policy and SIMD dispatch level.
 WorstCaseResult analyze_worst_case(const DetectionDb& db,
                                    const AnalysisOptions& options = {});
@@ -96,6 +107,25 @@ WorstCaseResult analyze_worst_case(const DetectionDb& db,
 WorstCaseResult analyze_worst_case(const DetectionDb& db,
                                    const ThreadPool& pool,
                                    const CancelToken* cancel = nullptr);
+
+/// 64-bit hash of every materialized T(g), seeded with the stored |T(g)|
+/// and index-aligned with DetectionDb::untargeted().  A non-null `cancel`
+/// is polled between chunks (stage "worst_case").
+std::vector<std::uint64_t> untargeted_set_hashes(
+    const DetectionDb& db, const ThreadPool& pool,
+    const CancelToken* cancel = nullptr);
+
+/// Identical-set classes of G: rep_of[j] is the smallest index whose T(g)
+/// equals T(g_j) (so rep_of[j] <= j, with equality exactly for the
+/// representatives).  `hashes` must be index-aligned with G and give equal
+/// sets equal values; two faults are grouped only when hash and stored
+/// count agree AND their materialized rows compare equal, so the classes
+/// are exact for any such hash, even a constant one.  Independent of the
+/// pool's width.  A non-null `cancel` is polled between shards (stage
+/// "worst_case").
+std::vector<std::uint32_t> identical_set_classes(
+    const DetectionDb& db, std::span<const std::uint64_t> hashes,
+    const ThreadPool& pool, const CancelToken* cancel = nullptr);
 
 /// Table-1-style drill-down for one untargeted fault: every target fault
 /// with overlapping tests, with N(f), M(g,f) and nmin(g,f).

@@ -92,6 +92,7 @@ constexpr Kernels kPortableKernels = {
     portable_and_popcount,
     portable_andnot_popcount,
     portable_and_popcount_x4,
+    true,
 };
 
 // --- AVX2 kernels -----------------------------------------------------------
@@ -254,6 +255,7 @@ constexpr Kernels kAvx2Kernels = {
     avx2_and_popcount,
     avx2_andnot_popcount,
     avx2_and_popcount_x4,
+    false,
 };
 
 #endif  // NDET_SIMD_COMPILED_AVX2
@@ -402,6 +404,7 @@ constexpr Kernels kAvx512Kernels = {
     avx512_and_popcount,
     avx512_andnot_popcount,
     avx512_and_popcount_x4,
+    false,
 };
 
 #endif  // NDET_SIMD_COMPILED_AVX512
@@ -417,6 +420,7 @@ constexpr Kernels kNeonKernels = {
     neon_and_popcount,
     neon_andnot_popcount,
     neon_and_popcount_x4,
+    true,
 };
 
 #endif  // NDET_SIMD_COMPILED_NEON

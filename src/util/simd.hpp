@@ -34,8 +34,11 @@
 //
 // Callers with tiny operands (a handful of words, e.g. small-universe
 // circuits) should use the inline wrappers below: under kInlineWordLimit
-// words the portable loop is inlined at the call site, because the indirect
-// call costs more than vectorization can recover.  The batched engines in
+// words on the portable and NEON levels the loop is inlined at the call
+// site, because the indirect call costs more than vectorization can
+// recover.  On the x86 vector levels the wrappers always call through the
+// table, whose kernels popcount with the POPCNT instruction that the
+// baseline build cannot assume.  The batched engines in
 // core/pair_kernels.hpp instead grab active_kernels() once per sweep and
 // call through the table, amortizing the dispatch over whole tiles.
 
@@ -108,43 +111,53 @@ struct Kernels {
   /// for j in [0, 4) -- one pass over t serves four partners.
   void (*and_popcount_x4)(const word* t, const word* const* g, std::size_t n,
                           std::uint32_t* out);
+  /// Whether the inline wrappers below run their own loop under
+  /// kInlineWordLimit words: true where that loop popcounts a word as fast
+  /// as the kernels do (portable, NEON); false on the x86 vector levels,
+  /// whose kernels are built with POPCNT while the inline loop, compiled
+  /// for the baseline ISA, makes a libgcc call per word.
+  bool inline_small_words;
 };
 
 /// The table for active_level().
 const Kernels& active_kernels();
 
-/// Below this word count the inline portable loop beats the indirect call.
+/// Below this word count the inline loop beats the indirect call on the
+/// levels whose table sets inline_small_words.
 inline constexpr std::size_t kInlineWordLimit = 8;
 
 inline std::size_t popcount_words(const word* a, std::size_t n) {
-  if (n < kInlineWordLimit) {
+  const Kernels& k = active_kernels();
+  if (n < kInlineWordLimit && k.inline_small_words) {
     std::size_t total = 0;
     for (std::size_t i = 0; i < n; ++i)
       total += static_cast<std::size_t>(std::popcount(a[i]));
     return total;
   }
-  return active_kernels().popcount(a, n);
+  return k.popcount(a, n);
 }
 
 inline std::size_t and_popcount(const word* a, const word* b, std::size_t n) {
-  if (n < kInlineWordLimit) {
+  const Kernels& k = active_kernels();
+  if (n < kInlineWordLimit && k.inline_small_words) {
     std::size_t total = 0;
     for (std::size_t i = 0; i < n; ++i)
       total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
     return total;
   }
-  return active_kernels().and_popcount(a, b, n);
+  return k.and_popcount(a, b, n);
 }
 
 inline std::size_t andnot_popcount(const word* a, const word* b,
                                    std::size_t n) {
-  if (n < kInlineWordLimit) {
+  const Kernels& k = active_kernels();
+  if (n < kInlineWordLimit && k.inline_small_words) {
     std::size_t total = 0;
     for (std::size_t i = 0; i < n; ++i)
       total += static_cast<std::size_t>(std::popcount(a[i] & ~b[i]));
     return total;
   }
-  return active_kernels().andnot_popcount(a, b, n);
+  return k.andnot_popcount(a, b, n);
 }
 
 }  // namespace ndet::simd

@@ -14,6 +14,11 @@ unsigned resolve_thread_count(unsigned requested) {
   return std::max(1u, requested);
 }
 
+const ThreadPool& ThreadPool::for_work(std::size_t work_words) const {
+  static const ThreadPool serial(1);
+  return work_words < kParallelWorkWords ? serial : *this;
+}
+
 void ThreadPool::run_workers(unsigned workers,
                              const std::function<void(unsigned)>& worker,
                              std::atomic<bool>& failed) {

@@ -13,7 +13,9 @@
 // The pool is fork-join per call, not persistent: threads are spawned for
 // one for_each_index and joined before it returns.  That keeps call sites
 // free of lifetime concerns and matches the workloads here, where each call
-// processes an entire fault list and thread start-up cost is noise.
+// processes an entire fault list.  Start-up is not free (tens of
+// microseconds per call), so phases weigh their work with for_work and run
+// small ones on the calling thread.
 //
 // Robustness contract (see DESIGN.md "Cancellation, deadlines, and error
 // taxonomy"):
@@ -59,6 +61,14 @@ class ThreadPool {
   unsigned workers_for(std::size_t count) const {
     return count < num_threads_ ? static_cast<unsigned>(count) : num_threads_;
   }
+
+  /// The small-work rule: a phase of fewer than kParallelWorkWords 64-bit
+  /// word operations takes about a millisecond on one core, too little for
+  /// workers to win back their start-up, so it runs on the calling thread.
+  /// Returns this pool for `work_words` at or above the bound, else a
+  /// one-worker pool.
+  static constexpr std::size_t kParallelWorkWords = std::size_t{1} << 21;
+  const ThreadPool& for_work(std::size_t work_words) const;
 
   /// Calls `body(index, worker)` once for every index in [0, count), fanned
   /// out across min(thread_count, count) workers with dynamic scheduling.

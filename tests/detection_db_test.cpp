@@ -14,13 +14,17 @@
 //      bitset() and materialize() under every representation policy; and
 //   3. analyze_worst_case over the factored store equals the scalar nmin_of
 //      over the materialized sets, under dense, sparse and adaptive
-//      policies, at 1 and 4 threads.
+//      policies, at 1 and 4 threads; and the identical-set classes it
+//      sweeps group exactly the equal sets, whatever the hashes and the
+//      thread count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -200,15 +204,121 @@ TEST(DetectionDb, UntargetedViewRejectsBadIndexAndRowSize) {
   EXPECT_THROW(sets.materialize(0, too_long), contract_error);
 }
 
-TEST(DetectionDb, WorstCaseMatchesScalarNminOverMaterializedSets) {
-  for (const auto& [name, circuit, stride] : oracle_circuits()) {
+/// rep_of by brute force: the first index of every distinct materialized
+/// row, found through an ordered map of whole rows.
+std::vector<std::uint32_t> classes_by_row_comparison(const DetectionDb& db) {
+  const DetectionDb::UntargetedSets sets = db.untargeted_sets();
+  std::map<std::vector<Bitset::word_type>, std::uint32_t> first;
+  std::vector<std::uint32_t> rep_of;
+  std::vector<Bitset::word_type> row(
+      Bitset(static_cast<std::size_t>(db.vector_count())).word_count());
+  for (std::size_t j = 0; j < sets.size(); ++j) {
+    sets.materialize(j, row);
+    rep_of.push_back(
+        first.try_emplace(row, static_cast<std::uint32_t>(j)).first->second);
+  }
+  return rep_of;
+}
+
+TEST(DetectionDb, SetClassesAreExactWhenEveryHashCollides) {
+  // With one hash for every fault, every probe meets every representative
+  // of its shard: only the count and row comparisons can keep different
+  // sets apart.  On one worker keyb's 2.6 k representatives of 64 words
+  // outgrow the rows a grouping worker keeps, so the comparisons that
+  // materialize the representative again run too.
+  const ThreadPool pool(1);
+  for (const char* name : {"dk27", "bbara", "keyb"}) {
     SCOPED_TRACE(name);
+    const DetectionDb db = DetectionDb::build(fsm_benchmark_circuit(name));
+    const std::vector<std::uint64_t> colliding(db.untargeted().size(),
+                                               0x5eedULL);
+    EXPECT_EQ(identical_set_classes(db, colliding, pool),
+              classes_by_row_comparison(db));
+  }
+}
+
+TEST(DetectionDb, SetClassesGroupExactlyTheEqualSets) {
+  std::vector<std::pair<std::string, Circuit>> circuits;
+  for (const FsmBenchmarkInfo& info : fsm_benchmark_suite())
+    circuits.emplace_back(info.name, fsm_benchmark_circuit(info.name));
+  for (const std::uint64_t seed : {1u, 7u, 42u})
+    circuits.emplace_back("generator seed " + std::to_string(seed),
+                          generate_random_circuit(GeneratorConfig{}, seed));
+  const ThreadPool pool(4);
+  for (const auto& [name, circuit] : circuits) {
+    SCOPED_TRACE(name);
+    const DetectionDb db = DetectionDb::build(circuit);
+    const DetectionDb::UntargetedSets sets = db.untargeted_sets();
+    const std::vector<std::uint32_t> rep_of = identical_set_classes(
+        db, untargeted_set_hashes(db, pool), pool);
+    ASSERT_EQ(rep_of.size(), sets.size());
+    // Every fault has its representative's set, the representative comes
+    // first and represents itself, and no two representatives are equal --
+    // together: rep_of[j] is the smallest index with T(g_j)'s set.
+    std::set<std::vector<Bitset::word_type>> representatives;
+    for (std::size_t j = 0; j < sets.size(); ++j) {
+      ASSERT_LE(rep_of[j], j);
+      ASSERT_EQ(rep_of[rep_of[j]], rep_of[j]) << j;
+      ASSERT_EQ(sets.bitset(j), sets.bitset(rep_of[j])) << j;
+      if (rep_of[j] != j) continue;
+      const Bitset row = sets.bitset(j);
+      ASSERT_TRUE(representatives
+                      .emplace(row.words(), row.words() + row.word_count())
+                      .second)
+          << j;
+    }
+    EXPECT_EQ(analyze_worst_case(db, pool).distinct_sets,
+              representatives.size());
+  }
+}
+
+TEST(DetectionDb, SetClassesAreIdenticalAcrossThreadCounts) {
+  // keyb's hashing and grouping fan out across the pool; dk16 falls under
+  // the small-work bound and runs them on the calling thread.
+  for (const char* name : {"keyb", "dk16"}) {
+    SCOPED_TRACE(name);
+    const DetectionDb db = DetectionDb::build(fsm_benchmark_circuit(name));
+    const ThreadPool serial(1);
+    const std::vector<std::uint64_t> hashes =
+        untargeted_set_hashes(db, serial);
+    const std::vector<std::uint32_t> expected =
+        identical_set_classes(db, hashes, serial);
+    for (const unsigned threads : {2u, 4u}) {
+      const ThreadPool pool(threads);
+      ASSERT_EQ(untargeted_set_hashes(db, pool), hashes) << threads;
+      EXPECT_EQ(identical_set_classes(db, hashes, pool), expected) << threads;
+    }
+  }
+}
+
+TEST(DetectionDb, SetClassesRejectMisalignedHashes) {
+  const DetectionDb db = DetectionDb::build(paper_example());
+  const std::vector<std::uint64_t> short_by_one(db.untargeted().size() - 1);
+  EXPECT_THROW(identical_set_classes(db, short_by_one, ThreadPool(1)),
+               contract_error);
+}
+
+TEST(DetectionDb, WorstCaseMatchesScalarNminOverMaterializedSets) {
+  // The oracle circuits plus dk16 and keyb, where most bridges share their
+  // set with another and the sweep serves only one per class.
+  std::vector<std::pair<std::string, Circuit>> circuits;
+  for (auto& [name, circuit, stride] : oracle_circuits())
+    circuits.emplace_back(name, std::move(circuit));
+  for (const char* name : {"dk16", "keyb"})
+    circuits.emplace_back(name, fsm_benchmark_circuit(name));
+  for (const auto& [name, circuit] : circuits) {
+    SCOPED_TRACE(name);
+    // The materialized sets are the same under every policy (see
+    // StoredCountsMatchMaterializedSetsUnderEveryPolicy), so the scalar
+    // oracle runs once, over the dense freeze.
+    const DetectionDb dense = DetectionDb::build(
+        circuit, DetectionDbOptions{.representation = SetRepresentation::kDense});
+    std::vector<std::uint64_t> expected;
+    for (const DetectionSet tg : dense.untargeted_sets())
+      expected.push_back(nmin_of(tg, dense.target_sets()));
     for (const SetRepresentation policy : kPolicies) {
       const DetectionDb db = DetectionDb::build(
           circuit, DetectionDbOptions{.representation = policy});
-      std::vector<std::uint64_t> expected;
-      for (const DetectionSet tg : db.untargeted_sets())
-        expected.push_back(nmin_of(tg, db.target_sets()));
       for (const unsigned threads : {1u, 4u}) {
         const ThreadPool pool(threads);
         EXPECT_EQ(analyze_worst_case(db, pool).nmin, expected)

@@ -21,10 +21,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/detection_db.hpp"
@@ -196,6 +198,36 @@ TEST(Simd, KernelTablesAgreeOnAllLengths) {
       std::uint32_t out[4] = {9, 9, 9, 9};
       k.and_popcount_x4(a.data(), quad, n, out);
       for (int j = 0; j < 4; ++j) EXPECT_EQ(out[j], x4[j]) << n << " " << j;
+    }
+  }
+}
+
+TEST(Simd, SmallOperandsMatchStdPopcountAtEveryLevel) {
+  // The inline wrappers switch between their own loop and the table at
+  // kInlineWordLimit, differently per level; hold both paths and the table
+  // entries to std::popcount on every short length.
+  Rng rng(20261019);
+  for (const simd::Level level : available_levels()) {
+    const ScopedSimdLevel scope(level);
+    const simd::Kernels& k = simd::active_kernels();
+    for (std::size_t n = 1; n <= 8; ++n) {
+      std::vector<simd::word> a(n), b(n);
+      std::size_t pc = 0, andpc = 0, andnotpc = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        a[i] = rng.next();
+        b[i] = rng.next();
+        pc += static_cast<std::size_t>(std::popcount(a[i]));
+        andpc += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
+        andnotpc += static_cast<std::size_t>(std::popcount(a[i] & ~b[i]));
+      }
+      SCOPED_TRACE(std::string(simd::level_name(level)) + " n=" +
+                   std::to_string(n));
+      EXPECT_EQ(simd::popcount_words(a.data(), n), pc);
+      EXPECT_EQ(simd::and_popcount(a.data(), b.data(), n), andpc);
+      EXPECT_EQ(simd::andnot_popcount(a.data(), b.data(), n), andnotpc);
+      EXPECT_EQ(k.popcount(a.data(), n), pc);
+      EXPECT_EQ(k.and_popcount(a.data(), b.data(), n), andpc);
+      EXPECT_EQ(k.andnot_popcount(a.data(), b.data(), n), andnotpc);
     }
   }
 }

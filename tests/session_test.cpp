@@ -148,6 +148,21 @@ TEST(AnalysisSession, MonitoredMatchesWorstCaseTail) {
   EXPECT_EQ(session.average_case(request).monitored, direct);
 }
 
+TEST(AnalysisSession, StatsReportTheDistinctSetsTheSweepServed) {
+  AnalysisSession session(fsm_benchmark_circuit("dk27"));
+  EXPECT_EQ(session.stats().worst_case_distinct, 0u);
+  const WorstCaseResult& worst = session.worst_case();
+  const SessionStats stats = session.stats();
+  EXPECT_EQ(stats.worst_case_distinct, worst.distinct_sets);
+  EXPECT_GT(worst.distinct_sets, 0u);
+  EXPECT_LT(worst.distinct_sets, worst.nmin.size());  // dk27 shares sets
+  EXPECT_NE(to_json(stats).find("\"worst_case_distinct\":" +
+                                std::to_string(worst.distinct_sets)),
+            std::string::npos);
+  // Telemetry only: the result's wire form does not carry it.
+  EXPECT_EQ(to_json(worst).find("distinct"), std::string::npos);
+}
+
 TEST(AnalysisSession, PartitionedMatchesDirectCall) {
   const Circuit circuit = ripple_adder(3);
   AnalysisSession session(circuit, {.num_threads = 2});
